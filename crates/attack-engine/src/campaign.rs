@@ -1,6 +1,7 @@
 //! Campaign runner: executes suites of test cases and aggregates results.
 
 use saseval_obs::Obs;
+use saseval_types::shard;
 use serde::{Deserialize, Serialize};
 
 use crate::executor::{execute_with_obs, ExecutionResult, TestCase};
@@ -47,26 +48,15 @@ impl CampaignReport {
     }
 }
 
-/// Runs all cases serially, preserving order.
+/// Runs all cases serially, preserving order: [`run_campaign_parallel`]
+/// on one thread, which runs the cases inline, without metrics.
 pub fn run_campaign(cases: &[TestCase]) -> CampaignReport {
-    run_campaign_with_obs(cases, &Obs::noop())
+    run_campaign_parallel(cases, 1, &Obs::noop())
 }
 
-/// [`run_campaign`] with metrics: the whole campaign is timed under the
-/// `campaign.run_seconds` span and progress/verdict counts land in the
-/// `campaign.*` counters (in addition to per-case `case.*` metrics).
-pub fn run_campaign_with_obs(cases: &[TestCase], obs: &Obs) -> CampaignReport {
-    let span = obs.span("campaign.run_seconds");
-    let results: Vec<ExecutionResult> =
-        cases.iter().map(|case| execute_with_obs(case, obs)).collect();
-    record_campaign_totals(&results, obs);
-    span.finish();
-    CampaignReport { results }
-}
-
-/// [`run_campaign_with_obs`] through the lockstep batch executor
+/// [`run_campaign_parallel`] through the lockstep batch executor
 /// ([`crate::executor::execute_batch_with_obs`]): same report, same
-/// `campaign.*` totals, but same-world cases step together so the
+/// `campaign.*` verdict totals, but same-world cases step together so the
 /// dispatch loop is amortized — the variant a long-running campaign
 /// service schedules.
 pub fn run_campaign_batched_with_obs(cases: &[TestCase], obs: &Obs) -> CampaignReport {
@@ -83,63 +73,19 @@ fn record_campaign_totals(results: &[ExecutionResult], obs: &Obs) {
     obs.counter("campaign.detected", results.iter().filter(|r| r.detected).count() as u64);
 }
 
-/// Runs all cases on a scoped thread pool, preserving result order. Each
-/// case is independent (worlds are self-contained), so this is
-/// embarrassingly parallel.
-///
-/// Workers claim case indices from a shared atomic counter and send
-/// `(index, result)` pairs over a channel; only the coordinating thread
-/// writes into the result vector, so no lock is held around result
-/// storage (the old implementation serialized every completion on a
-/// mutex over the whole vector).
-pub fn run_campaign_parallel(cases: &[TestCase], threads: usize) -> CampaignReport {
-    run_campaign_parallel_with_obs(cases, threads, &Obs::noop())
-}
-
-/// [`run_campaign_parallel`] with metrics. Workers emit per-case `case.*`
-/// metrics through their own handle clones; the coordinating thread
-/// records `campaign.completed` progress as results arrive, so campaign
-/// bookkeeping never contends with workers.
-pub fn run_campaign_parallel_with_obs(
-    cases: &[TestCase],
-    threads: usize,
-    obs: &Obs,
-) -> CampaignReport {
-    let threads = threads.clamp(1, cases.len().max(1));
-    if threads == 1 {
-        return run_campaign_with_obs(cases, obs);
-    }
+/// Runs all cases on at most `threads` threads through
+/// [`shard::map_ordered`], preserving case order; cases are independent
+/// (worlds are self-contained), so the report is the same for every
+/// thread count. The run is timed under the `campaign.run_seconds` span;
+/// each case emits its `case.*` metrics and one `campaign.completed`
+/// count, and the `campaign.*` verdict totals follow the join.
+pub fn run_campaign_parallel(cases: &[TestCase], threads: usize, obs: &Obs) -> CampaignReport {
     let span = obs.span("campaign.run_seconds");
-    let mut results: Vec<Option<ExecutionResult>> = Vec::new();
-    results.resize_with(cases.len(), || None);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let (sender, receiver) = std::sync::mpsc::channel();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let sender = sender.clone();
-            let next = &next;
-            let worker_obs = obs.clone();
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= cases.len() {
-                    break;
-                }
-                let result = execute_with_obs(&cases[i], &worker_obs);
-                if sender.send((i, result)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(sender);
-        for (i, result) in receiver.iter() {
-            results[i] = Some(result);
-            obs.counter("campaign.completed", 1);
-        }
+    let results = shard::map_ordered(cases.iter().collect(), threads, |case| {
+        let result = execute_with_obs(case, obs);
+        obs.counter("campaign.completed", 1);
+        result
     });
-
-    let results: Vec<ExecutionResult> =
-        results.into_iter().map(|r| r.expect("all cases executed")).collect();
     record_campaign_totals(&results, obs);
     span.finish();
     CampaignReport { results }
@@ -190,7 +136,7 @@ mod tests {
     fn parallel_matches_serial() {
         let suite = small_suite();
         let serial = run_campaign(&suite);
-        let parallel = run_campaign_parallel(&suite, 4);
+        let parallel = run_campaign_parallel(&suite, 4, &Obs::noop());
         assert_eq!(serial.total(), parallel.total());
         for (s, p) in serial.results.iter().zip(&parallel.results) {
             assert_eq!(s.attack_id, p.attack_id);
@@ -203,7 +149,7 @@ mod tests {
     #[test]
     fn campaign_metrics_recorded() {
         let (obs, recorder) = Obs::memory();
-        let report = run_campaign_with_obs(&small_suite(), &obs);
+        let report = run_campaign_parallel(&small_suite(), 1, &obs);
         let snapshot = recorder.snapshot();
         assert_eq!(snapshot.counter("campaign.cases"), Some(3));
         assert_eq!(snapshot.counter("campaign.succeeded"), Some(report.successes() as u64));
@@ -220,7 +166,7 @@ mod tests {
     #[test]
     fn parallel_campaign_metrics_track_progress() {
         let (obs, recorder) = Obs::memory();
-        let report = run_campaign_parallel_with_obs(&small_suite(), 2, &obs);
+        let report = run_campaign_parallel(&small_suite(), 2, &obs);
         let snapshot = recorder.snapshot();
         assert_eq!(snapshot.counter("campaign.completed"), Some(report.total() as u64));
         assert_eq!(snapshot.counter("campaign.cases"), Some(report.total() as u64));

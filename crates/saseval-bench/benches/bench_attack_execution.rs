@@ -7,6 +7,7 @@ use std::hint::black_box;
 use attack_engine::builtin::{ad08_cases, ad20_cases, full_campaign};
 use attack_engine::campaign::{run_campaign, run_campaign_parallel};
 use attack_engine::executor::execute;
+use saseval_obs::Obs;
 use saseval_types::SimTime;
 use vehicle_sim::construction::{ConstructionConfig, ConstructionWorld};
 use vehicle_sim::keyless::{KeylessConfig, KeylessWorld};
@@ -57,7 +58,9 @@ fn bench_campaign(c: &mut Criterion) {
     let mut group = c.benchmark_group("campaign");
     group.sample_size(10);
     group.bench_function("serial", |b| b.iter(|| black_box(run_campaign(&cases))));
-    group.bench_function("parallel_4", |b| b.iter(|| black_box(run_campaign_parallel(&cases, 4))));
+    group.bench_function("parallel_4", |b| {
+        b.iter(|| black_box(run_campaign_parallel(&cases, 4, &Obs::noop())));
+    });
     group.finish();
 }
 

@@ -15,7 +15,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use attack_engine::builtin::full_campaign;
-use attack_engine::campaign::run_campaign_with_obs;
+use attack_engine::campaign::run_campaign_parallel;
 use attack_engine::ExecutionResult;
 use saseval_core::catalog::{use_case_1, use_case_2};
 use saseval_core::export::render_validation_report;
@@ -75,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("wrote {} ({findings} findings)", path.display());
 
     let (obs, recorder) = Obs::memory();
-    let campaign = run_campaign_with_obs(&full_campaign(), &obs);
+    let campaign = run_campaign_parallel(&full_campaign(), 1, &obs);
     let total = campaign.total();
     let successes = campaign.successes();
     let export = CampaignExport { results: campaign.results, metrics: recorder.snapshot() };

@@ -1,9 +1,9 @@
 //! The attack-path-guided fuzzing loop: serial and sharded-parallel.
 //!
 //! [`Fuzzer::run`] is the single-threaded loop; [`Fuzzer::run_parallel`]
-//! splits the iteration space into contiguous shards executed on scoped
-//! threads (the same no-dependency pattern as
-//! `attack_engine::campaign::run_campaign_parallel`) and merges the shard
+//! splits the iteration space into contiguous shards through the
+//! workspace's one shard engine, [`saseval_types::shard`] (partition,
+//! per-shard seeds, capped ordered execution), and merges the shard
 //! reports deterministically: findings are sorted by
 //! `(iteration, shard, input)` and coverage maps are unioned, so a run at
 //! a fixed shard count is bit-identical regardless of thread scheduling,
@@ -23,6 +23,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use saseval_obs::Obs;
+use saseval_types::shard;
 use serde::{Deserialize, Serialize};
 
 use saseval_tara::AttackPath;
@@ -173,22 +174,6 @@ impl std::fmt::Debug for Fuzzer {
 /// Inputs per throughput/coverage sample. Large enough that the per-input
 /// hot loop stays free of recorder calls even when metrics are on.
 const OBS_BATCH: usize = 256;
-
-/// Derives shard `shard`'s RNG seed from the fuzzer's base seed. Shard 0
-/// always fuzzes with the base seed itself, so a one-shard parallel run
-/// replays the serial input stream byte for byte.
-pub(crate) fn shard_seed(base_seed: u64, shard: usize) -> u64 {
-    base_seed.wrapping_add((shard as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
-/// Contiguous iteration range of shard `shard` out of `shards` over
-/// `iterations` total inputs.
-pub(crate) fn shard_range(iterations: usize, shards: usize, shard: usize) -> Range<usize> {
-    let chunk = iterations.div_ceil(shards);
-    let start = (shard * chunk).min(iterations);
-    let end = ((shard + 1) * chunk).min(iterations);
-    start..end
-}
 
 /// Everything one shard produced; merged by [`merge_shard_outcomes`].
 struct ShardOutcome {
@@ -427,19 +412,18 @@ fn run_shard(
 /// findings sorted by `(iteration, shard, input)` then deduplicated by
 /// input bytes (first occurrence in that order wins), coverage maps
 /// unioned. Deterministic for a fixed shard count regardless of thread
-/// scheduling. Returns the report plus the merged coverage-cell and
-/// out-of-range path-hit totals for the caller's metrics.
-fn merge_shard_outcomes(
-    outcomes: Vec<ShardOutcome>,
-    iterations: usize,
-) -> (FuzzReport, usize, usize) {
+/// scheduling. Records the run's `fuzz.*` totals on `obs`, minus the
+/// coverage cells shards already flushed in-loop.
+fn merge_shard_outcomes(outcomes: Vec<ShardOutcome>, iterations: usize, obs: &Obs) -> FuzzReport {
     let mut accepted = 0;
     let mut rejected = 0;
+    let mut reported_cells = 0;
     let mut merged_coverage: Option<CoverageMap> = None;
     let mut tagged: Vec<(usize, usize, Finding)> = Vec::new();
     for outcome in outcomes {
         accepted += outcome.accepted;
         rejected += outcome.rejected;
+        reported_cells += outcome.reported_cells;
         match &mut merged_coverage {
             None => merged_coverage = Some(outcome.coverage),
             Some(merged) => merged.merge(&outcome.coverage),
@@ -464,9 +448,13 @@ fn merge_shard_outcomes(
             )
         })
         .unwrap_or((100.0, 100.0, 0, 0));
-    let report =
-        FuzzReport { iterations, accepted, rejected, crashes, field_coverage, path_coverage };
-    (report, cells, out_of_range)
+    obs.counter("fuzz.inputs", iterations as u64);
+    obs.counter("fuzz.crashes", crashes.len() as u64);
+    obs.counter("fuzz.coverage_cells", (cells - reported_cells) as u64);
+    if out_of_range > 0 {
+        obs.counter("fuzz.paths.out_of_range", out_of_range as u64);
+    }
+    FuzzReport { iterations, accepted, rejected, crashes, field_coverage, path_coverage }
 }
 
 impl Fuzzer {
@@ -557,26 +545,20 @@ impl Fuzzer {
             self.batch_size,
             &shard_obs,
         );
-        let reported = outcome.reported_cells;
-        let (report, cells, out_of_range) = merge_shard_outcomes(vec![outcome], iterations);
-        self.obs.counter("fuzz.inputs", iterations as u64);
-        self.obs.counter("fuzz.crashes", report.crashes.len() as u64);
-        self.obs.counter("fuzz.coverage_cells", (cells - reported) as u64);
-        if out_of_range > 0 {
-            self.obs.counter("fuzz.paths.out_of_range", out_of_range as u64);
-        }
+        let report = merge_shard_outcomes(vec![outcome], iterations, &self.obs);
         self.run_triage(&report, 1, target);
         span.finish();
         report
     }
 
-    /// Runs `iterations` inputs split over `shards` contiguous shards on
-    /// scoped threads. Shard `s` owns a private [`Mutator`] seeded
-    /// deterministically from `(base_seed, s)` — shard 0 reuses the base
-    /// seed itself — plus a private [`CoverageMap`], and fuzzes its slice
-    /// of the global iteration space (so path round-robin and the
-    /// every-10th valid baseline follow the global iteration index, as in
-    /// the serial loop).
+    /// Runs `iterations` inputs split over `shards` contiguous shards via
+    /// [`shard::map_ordered`], on at most [`shard::available_threads`]
+    /// threads (inline for one shard). Shard `s` owns a private
+    /// [`Mutator`] seeded from `(base_seed, s)` by [`shard::seed`] — shard
+    /// 0 reuses the base seed itself — plus a private [`CoverageMap`], and
+    /// fuzzes its [`shard::range`] of the global iteration space (so path
+    /// round-robin and the every-10th valid baseline follow the global
+    /// iteration index, as in the serial loop).
     ///
     /// `target_factory(s)` builds shard `s`'s private target oracle.
     ///
@@ -618,17 +600,14 @@ impl Fuzzer {
         F: FnMut(usize) -> T,
         T: FuzzTarget + Send,
     {
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let threads = shard::available_threads();
         self.run_parallel_targets_on(paths, iterations, shards, threads, target_factory)
     }
 
     /// [`Fuzzer::run_parallel_targets`] with an explicit execution-thread
-    /// cap instead of the `available_parallelism` auto-degrade. Exposed
-    /// so tests (and callers with their own scheduler) can pin the
-    /// thread count; the report is identical for every cap because shard
-    /// streams are keyed off the *requested* shard count, never the
-    /// thread count.
-    pub fn run_parallel_targets_on<T, F>(
+    /// cap instead of [`shard::available_threads`], so tests can pin the
+    /// thread count; the report is identical for every cap.
+    fn run_parallel_targets_on<T, F>(
         &self,
         paths: &[AttackPath],
         iterations: usize,
@@ -641,73 +620,25 @@ impl Fuzzer {
         T: FuzzTarget + Send,
     {
         let shards = shards.max(1);
-        // Auto-degrade: more shard *threads* than hardware threads is
-        // pure overhead (BENCH_fuzz.json measured 4-15% on a 1-core
-        // container), so shard jobs are packed onto at most
-        // `max_threads` scoped threads. Everything deterministic —
-        // per-shard seeds, iteration ranges, the merge — stays keyed off
-        // the requested shard count, so clamping can never change the
-        // report.
         let threads = shards.min(max_threads.max(1));
         if threads < shards {
             self.obs.counter("fuzz.shards_clamped", (shards - threads) as u64);
         }
         let span = self.obs.span("fuzz.run_seconds");
-        let jobs: Vec<(usize, Range<usize>, Mutator, T)> = (0..shards)
-            .map(|shard| {
-                (
-                    shard,
-                    shard_range(iterations, shards, shard),
-                    Mutator::new(self.mutator.model().clone(), shard_seed(self.base_seed, shard)),
-                    target_factory(shard),
-                )
-            })
-            .collect();
-        let mut outcomes: Vec<ShardOutcome> = Vec::with_capacity(shards);
-        std::thread::scope(|scope| {
-            // Contiguous groups keep the joined outcomes in shard order,
-            // which the merge relies on for its (iteration, shard, input)
-            // sort to be reproducible.
-            let chunk = shards.div_ceil(threads);
-            let mut jobs = jobs;
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let group: Vec<_> = jobs.drain(..chunk.min(jobs.len())).collect();
-                    let obs = self.obs.clone();
-                    scope.spawn(move || {
-                        let shard_obs = ShardObs {
-                            obs: &obs,
-                            throughput_gauge: "fuzz.shard.inputs_per_sec",
-                            emit_cell_batches: false,
-                        };
-                        group
-                            .into_iter()
-                            .map(|(shard, range, mut mutator, mut target)| {
-                                run_shard(
-                                    &mut mutator,
-                                    paths,
-                                    range,
-                                    shard,
-                                    &mut target,
-                                    self.batch_size,
-                                    &shard_obs,
-                                )
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for handle in handles {
-                outcomes.extend(handle.join().expect("fuzz shard panicked"));
-            }
+        let jobs: Vec<(usize, T)> =
+            (0..shards).map(|shard| (shard, target_factory(shard))).collect();
+        let shard_obs = ShardObs {
+            obs: &self.obs,
+            throughput_gauge: "fuzz.shard.inputs_per_sec",
+            emit_cell_batches: false,
+        };
+        let model = self.mutator.model();
+        let outcomes = shard::map_ordered(jobs, threads, |(shard, mut target)| {
+            let mut mutator = Mutator::new(model.clone(), shard::seed(self.base_seed, shard));
+            let range = shard::range(iterations, shards, shard);
+            run_shard(&mut mutator, paths, range, shard, &mut target, self.batch_size, &shard_obs)
         });
-        let (report, cells, out_of_range) = merge_shard_outcomes(outcomes, iterations);
-        self.obs.counter("fuzz.inputs", iterations as u64);
-        self.obs.counter("fuzz.crashes", report.crashes.len() as u64);
-        self.obs.counter("fuzz.coverage_cells", cells as u64);
-        if out_of_range > 0 {
-            self.obs.counter("fuzz.paths.out_of_range", out_of_range as u64);
-        }
+        let report = merge_shard_outcomes(outcomes, iterations, &self.obs);
         self.obs.gauge("fuzz.shards", shards as f64);
         if self.triage.is_some() && !report.crashes.is_empty() {
             // The triage oracle is a dedicated instance built with index
@@ -733,10 +664,6 @@ impl Fuzzer {
         let span = self.obs.span("fuzz.triage_seconds");
         let corpus = Corpus::open(&config.corpus_dir);
         let model = &self.mutator.model().name;
-        // Shards own contiguous `div_ceil` chunks of the iteration
-        // space, so the discovering shard is recoverable from the
-        // iteration index.
-        let chunk = report.iterations.div_ceil(shards.max(1)).max(1);
         let mut new_entries = 0u64;
         let mut io_errors = 0u64;
         let mut store = |meta: &EntryMeta, bytes: &[u8]| match corpus.add(meta, bytes) {
@@ -756,7 +683,7 @@ impl Fuzzer {
                 hash: content_hash(&finding.input),
                 len: finding.input.len(),
                 seed: self.base_seed,
-                shard: finding.iteration / chunk,
+                shard: shard::owner(report.iterations, shards, finding.iteration),
                 iteration: finding.iteration,
                 path_goal: finding.path_goal.clone(),
                 expected: TargetResponse::Crash,
@@ -978,8 +905,8 @@ mod tests {
         let mut recount = CoverageMap::new(&model, attack_paths.len());
         let mut input = GeneratedInput::empty();
         for shard in 0..shards {
-            let mut mutator = Mutator::new(model.clone(), shard_seed(seed, shard));
-            for i in shard_range(iterations, shards, shard) {
+            let mut mutator = Mutator::new(model.clone(), shard::seed(seed, shard));
+            for i in shard::range(iterations, shards, shard) {
                 if i.is_multiple_of(10) {
                     mutator.generate_valid_into(&mut input);
                 } else {

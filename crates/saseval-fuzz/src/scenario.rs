@@ -26,14 +26,16 @@
 //!
 //! # Determinism contract
 //!
-//! [`ScenarioSearch::run_parallel`] mirrors `Fuzzer::run_parallel`: the
-//! iteration range is split into contiguous per-shard chunks, shard `s`
-//! seeds its sampler with the same splitmix stride used by the fuzzer,
-//! and shard results merge in shard order. A fixed `(seed, shards)`
-//! pair therefore reproduces a bit-identical corpus and merged coverage
-//! map, and `shards = 1` is exactly the serial loop. Per-spec
-//! evaluation seeds derive from the spec's canonical hash — never from
-//! the shard — so a spec receives the same verdict wherever it lands.
+//! [`ScenarioSearch::run_parallel`] runs on the same shard engine as
+//! `Fuzzer::run_parallel` ([`saseval_types::shard`]): the iteration
+//! range is split into contiguous per-shard chunks, shard `s` seeds its
+//! sampler with the same golden-ratio stride, shards run on at most
+//! `available_parallelism` threads, and shard results merge in shard
+//! order. A fixed `(seed, shards)` pair therefore reproduces a
+//! bit-identical corpus and merged coverage map, and `shards = 1` is
+//! exactly the serial loop. Per-spec evaluation seeds derive from the
+//! spec's canonical hash — never from the shard — so a spec receives the
+//! same verdict wherever it lands.
 //!
 //! [`ScenarioSpec::canonical_hash`] is FNV-1a over the spec's canonical
 //! JSON (declaration-order fields, no whitespace); the server reuses it
@@ -48,6 +50,7 @@ use saseval_obs::Obs;
 use saseval_tara::tree::{AttackTree, TreeNode};
 use saseval_tara::AttackPath;
 use saseval_types::hash::fnv1a64;
+use saseval_types::shard;
 use saseval_types::{AttackerPlacement, ChannelProfile, ControlsProfile, Ftti, SimTime, WorldKind};
 use serde::{Deserialize, Serialize};
 use vehicle_net::ble::BleConfig;
@@ -57,7 +60,7 @@ use vehicle_sim::construction::ConstructionConfig;
 use vehicle_sim::keyless::KeylessConfig;
 
 use crate::coverage::CoverageMap;
-use crate::fuzzer::{shard_range, shard_seed, Fuzzer};
+use crate::fuzzer::Fuzzer;
 use crate::model::{keyless_command_model, v2x_warning_model, FieldKind, FieldSpec, ProtocolModel};
 use crate::mutate::{GeneratedInput, ValueClass};
 use crate::sim_target::SimOracle;
@@ -751,15 +754,10 @@ impl ScenarioSearch {
     }
 
     fn search(&self, budget: usize, shards: usize, guided: bool) -> ScenarioSearchReport {
-        let outcomes: Vec<ShardOutcome> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..shards)
-                .map(|shard| scope.spawn(move || self.run_shard(budget, shards, shard, guided)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("scenario search shard panicked"))
-                .collect()
-        });
+        let outcomes =
+            shard::map_ordered((0..shards).collect(), shard::available_threads(), |shard| {
+                self.run_shard(budget, shards, shard, guided)
+            });
 
         let mut merged: Option<CoverageMap> = None;
         let mut records: Vec<ScenarioRecord> = Vec::new();
@@ -788,7 +786,7 @@ impl ScenarioSearch {
     }
 
     fn run_shard(&self, budget: usize, shards: usize, shard: usize, guided: bool) -> ShardOutcome {
-        let mut sampler = ScenarioSampler::new(self.space, shard_seed(self.base_seed, shard));
+        let mut sampler = ScenarioSampler::new(self.space, shard::seed(self.base_seed, shard));
         let mut map = CoverageMap::new(&dimension_model(), total_paths());
         let paths = attack_paths(self.space.world);
         let mut frontier: Vec<ScenarioSpec> = Vec::new();
@@ -796,7 +794,7 @@ impl ScenarioSearch {
         let mut records = Vec::new();
         let mut evaluated = 0usize;
         let started = Instant::now();
-        for iteration in shard_range(budget, shards, shard) {
+        for iteration in shard::range(budget, shards, shard) {
             let spec = if guided && !frontier.is_empty() && iteration % 2 == 1 {
                 let pick = sampler.pick(frontier.len());
                 sampler.mutate(&frontier[pick])

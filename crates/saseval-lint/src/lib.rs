@@ -65,6 +65,7 @@ pub use registry::{registry, Rule};
 pub use render::{render_json, render_text};
 
 use saseval_obs::{FieldValue, Obs};
+use saseval_types::shard;
 
 /// The outcome of a lint run: all findings, sorted deterministically by
 /// (code, locus, message).
@@ -107,9 +108,9 @@ pub fn run_lint(ctx: &LintContext<'_>, config: &LintConfig, obs: &Obs) -> LintRe
     run_lint_with_jobs(ctx, config, obs, 1)
 }
 
-/// [`run_lint`] with rule-level parallelism: rules are distributed
-/// round-robin over up to `jobs` worker threads. Rules are independent
-/// by contract and findings are merged in registry order before the
+/// [`run_lint`] with rule-level parallelism: rules run on up to `jobs`
+/// threads through [`shard::map_ordered`]. Rules are independent by
+/// contract and their findings come back in registry order before the
 /// global deterministic sort, so the report is byte-identical to the
 /// single-threaded run for any `jobs` value.
 pub fn run_lint_with_jobs(
@@ -119,43 +120,15 @@ pub fn run_lint_with_jobs(
     jobs: usize,
 ) -> LintReport {
     let run_span = obs.span("lint.run_seconds");
-    let rule_count = registry().len();
-    let jobs = jobs.clamp(1, rule_count);
-
-    // Per rule index: the rule's outcome (`None` inside = skipped by
-    // `allow`), filled by whichever thread ran it.
-    let mut slots: Vec<Option<RuleOutcome>> = (0..rule_count).map(|_| None).collect();
-    if jobs == 1 {
-        for (index, slot) in slots.iter_mut().enumerate() {
-            *slot = Some(check_rule(ctx, config, index));
-        }
-    } else {
-        let results = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..jobs)
-                .map(|worker| {
-                    scope.spawn(move || {
-                        // Each thread re-creates the registry: `Box<dyn Rule>`
-                        // is not `Send`, and the rules are stateless units.
-                        (worker..rule_count)
-                            .step_by(jobs)
-                            .map(|index| (index, check_rule(ctx, config, index)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("lint worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        for (index, result) in results {
-            slots[index] = Some(result);
-        }
-    }
+    // Jobs are rule indices, not rules: `Box<dyn Rule>` is not `Send`,
+    // so `check_rule` looks its (stateless) rule up in a fresh registry.
+    let outcomes = shard::map_ordered((0..registry().len()).collect(), jobs, |index| {
+        check_rule(ctx, config, index)
+    });
 
     let mut diagnostics = Vec::new();
-    for (rule, slot) in registry().iter().zip(slots) {
-        let Some((found, seconds)) = slot.expect("every rule index was scheduled") else {
+    for (rule, outcome) in registry().iter().zip(outcomes) {
+        let Some((found, seconds)) = outcome else {
             continue; // allowed: the rule did not run
         };
         obs.event(
@@ -174,12 +147,14 @@ pub fn run_lint_with_jobs(
     LintReport { diagnostics }
 }
 
-/// What running one rule produced: `None` when the rule is `allow`ed,
-/// otherwise its severity-assigned findings and wall-clock seconds.
-type RuleOutcome = Option<(Vec<Diagnostic>, f64)>;
-
-/// Runs the rule at `index` at its effective level.
-fn check_rule(ctx: &LintContext<'_>, config: &LintConfig, index: usize) -> RuleOutcome {
+/// Runs the rule at `index` at its effective level: `None` when the rule
+/// is `allow`ed, otherwise its severity-assigned findings and wall-clock
+/// seconds.
+fn check_rule(
+    ctx: &LintContext<'_>,
+    config: &LintConfig,
+    index: usize,
+) -> Option<(Vec<Diagnostic>, f64)> {
     let rule = &registry()[index];
     let level = config.level_for(rule.code(), rule.default_level());
     let severity = level.severity()?;

@@ -17,8 +17,9 @@ use crate::job::JobSpec;
 /// Cooperative cancellation flag shared between the event loop and the
 /// worker running (or about to run) a job. Workers check it at dequeue
 /// time (a cancelled job is never executed) and again before the cache
-/// insert (a job whose waiters all detached mid-run never populates the
-/// cache).
+/// insert (a job whose waiters all detached mid-run skips the cache
+/// best-effort; a cancel racing the insert can still cache the
+/// deterministic payload).
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,

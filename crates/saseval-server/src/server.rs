@@ -38,9 +38,10 @@
 //! calling connection's waiter from its in-flight job and answers with
 //! a terminal `{"id":...,"event":"cancelled"}` frame. The last waiter
 //! to detach cancels the execution itself (checked by the worker at
-//! dequeue time and again before the cache insert — a cancelled job
-//! never populates the cache); other waiters keep the job alive and
-//! still receive their result. Cancelling an unknown or already
+//! dequeue time and again before the cache insert, so a cancelled job
+//! skips the cache best-effort: a cancel racing the insert can still
+//! cache the deterministic payload); other waiters keep the job alive
+//! and still receive their result. Cancelling an unknown or already
 //! completed id is an `error` frame.
 //!
 //! Malformed lines get `{"event":"error","message":...}` (plus `"id"`

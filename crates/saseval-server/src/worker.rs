@@ -373,8 +373,7 @@ impl WorkerPool {
         cache: &Arc<ResultCache>,
         snapshots: &Arc<SnapshotStore>,
     ) -> Self {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let workers = workers.clamp(1, cores.max(1));
+        let workers = workers.clamp(1, saseval_types::shard::available_threads());
         let queue = Arc::new(Mutex::new(queue));
         let handles = (0..workers)
             .map(|_| {

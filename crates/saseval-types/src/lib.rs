@@ -7,13 +7,15 @@
 //! paper's Table IV ([`attack`]), asset classification ([`asset`]),
 //! attacker profiles ([`attacker`]), simulated time ([`time`]), the
 //! FNV-1a content-addressing helpers shared by the corpus and result
-//! cache ([`hash`]) and the enumerated dimensions of the parameterized
-//! validation-scenario model ([`scenario`]).
+//! cache ([`hash`]), the deterministic shard engine every parallel run
+//! goes through ([`shard`]) and the enumerated dimensions of the
+//! parameterized validation-scenario model ([`scenario`]).
 //!
-//! Everything here is plain data: `Clone`/`Debug`/`Eq`/`Hash`/serde
-//! throughout, no behaviour beyond classification and conversion. The
-//! behavioural engines (HARA, TARA, threat library, attack derivation,
-//! simulation) live in the sibling crates and exchange these types.
+//! Everything here but [`shard`] is plain data: `Clone`/`Debug`/`Eq`/
+//! `Hash`/serde throughout, no behaviour beyond classification and
+//! conversion. The behavioural engines (HARA, TARA, threat library,
+//! attack derivation, simulation) live in the sibling crates and
+//! exchange these types.
 //!
 //! # Example
 //!
@@ -36,6 +38,7 @@ pub mod failure;
 pub mod hash;
 pub mod id;
 pub mod scenario;
+pub mod shard;
 pub mod stride;
 pub mod time;
 

@@ -9,11 +9,12 @@
 
 use saseval::engine::builtin::full_campaign;
 use saseval::engine::campaign::run_campaign_parallel;
+use saseval::obs::Obs;
 
 fn main() {
     let cases = full_campaign();
     println!("Executing {} bound attack test cases…\n", cases.len());
-    let report = run_campaign_parallel(&cases, 4);
+    let report = run_campaign_parallel(&cases, 4, &Obs::noop());
 
     println!(
         "{:<10} {:<38} {:>9} {:>9}  violated goals",

@@ -7,6 +7,7 @@ use saseval::engine::builtin::{
 };
 use saseval::engine::campaign::{run_campaign, run_campaign_parallel};
 use saseval::engine::executor::WorldOutcome;
+use saseval::obs::Obs;
 use saseval::types::Ftti;
 
 #[test]
@@ -120,7 +121,7 @@ fn ablation_controls_monotone() {
 fn campaign_parallel_equals_serial() {
     let cases = full_campaign();
     let serial = run_campaign(&cases);
-    let parallel = run_campaign_parallel(&cases, 8);
+    let parallel = run_campaign_parallel(&cases, 8, &Obs::noop());
     assert_eq!(serial.total(), parallel.total());
     for (s, p) in serial.results.iter().zip(&parallel.results) {
         assert_eq!(s.attack_id, p.attack_id);

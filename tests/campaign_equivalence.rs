@@ -13,6 +13,7 @@ use saseval::fuzz::fuzzer::Fuzzer;
 use saseval::fuzz::model::{keyless_command_model, v2x_warning_model};
 use saseval::fuzz::scenario::ScenarioSpec;
 use saseval::fuzz::SimOracle;
+use saseval::obs::Obs;
 use saseval::sim::config::ControlSelection;
 use saseval::sim::construction::ConstructionConfig;
 use saseval::sim::keyless::KeylessConfig;
@@ -98,7 +99,7 @@ proptest! {
         threads in 1usize..=8,
     ) {
         let serial = run_campaign(&suite);
-        let parallel = run_campaign_parallel(&suite, threads);
+        let parallel = run_campaign_parallel(&suite, threads, &Obs::noop());
         prop_assert_eq!(serial.total(), parallel.total());
         for (s, p) in serial.results.iter().zip(&parallel.results) {
             prop_assert_eq!(&s.attack_id, &p.attack_id);
