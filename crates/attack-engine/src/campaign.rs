@@ -54,23 +54,12 @@ pub fn run_campaign(cases: &[TestCase]) -> CampaignReport {
     run_campaign_parallel(cases, 1, &Obs::noop())
 }
 
-/// [`run_campaign_parallel`] through the lockstep batch executor
-/// ([`crate::executor::execute_batch_with_obs`]): same report, same
-/// `campaign.*` verdict totals, but same-world cases step together so the
-/// dispatch loop is amortized — the variant a long-running campaign
-/// service schedules.
+/// [`run_campaign_parallel`] on one thread. Kept only because the
+/// out-of-workspace `perfbench/` benchmark still calls it; remove it
+/// together with that call.
+#[deprecated(note = "use `run_campaign_parallel(cases, 1, obs)`")]
 pub fn run_campaign_batched_with_obs(cases: &[TestCase], obs: &Obs) -> CampaignReport {
-    let span = obs.span("campaign.run_seconds");
-    let results = crate::executor::execute_batch_with_obs(cases, obs);
-    record_campaign_totals(&results, obs);
-    span.finish();
-    CampaignReport { results }
-}
-
-fn record_campaign_totals(results: &[ExecutionResult], obs: &Obs) {
-    obs.counter("campaign.cases", results.len() as u64);
-    obs.counter("campaign.succeeded", results.iter().filter(|r| r.attack_succeeded).count() as u64);
-    obs.counter("campaign.detected", results.iter().filter(|r| r.detected).count() as u64);
+    run_campaign_parallel(cases, 1, obs)
 }
 
 /// Runs all cases on at most `threads` threads through
@@ -86,7 +75,9 @@ pub fn run_campaign_parallel(cases: &[TestCase], threads: usize, obs: &Obs) -> C
         obs.counter("campaign.completed", 1);
         result
     });
-    record_campaign_totals(&results, obs);
+    obs.counter("campaign.cases", results.len() as u64);
+    obs.counter("campaign.succeeded", results.iter().filter(|r| r.attack_succeeded).count() as u64);
+    obs.counter("campaign.detected", results.iter().filter(|r| r.detected).count() as u64);
     span.finish();
     CampaignReport { results }
 }

@@ -44,4 +44,4 @@ mod error;
 pub mod executor;
 
 pub use error::AttackError;
-pub use executor::{execute, execute_batch, ExecutionResult, TestCase, WorldOutcome};
+pub use executor::{execute, ExecutionResult, TestCase, WorldOutcome};

@@ -10,12 +10,8 @@
 //! and one shard reproduces the serial output exactly.
 //!
 //! Targets are [`FuzzTarget`] oracles (closures adapt via
-//! [`ClosureTarget`]). A target with a genuinely batched
-//! [`FuzzTarget::respond_batch`] — e.g. [`crate::sim_target::SimOracle`]
-//! stepping a batch of forked simulation worlds in lockstep — can be
-//! driven with [`Fuzzer::with_batch_size`]: execution is batched, but
-//! generation, coverage recording and response accounting stay in global
-//! iteration order, so the report is bit-identical for every batch size.
+//! [`ClosureTarget`]); every input is generated, executed and accounted
+//! one at a time, in global iteration order.
 
 use std::collections::HashSet;
 use std::ops::Range;
@@ -47,22 +43,18 @@ pub enum TargetResponse {
 
 /// A fuzz target oracle: executes inputs and reports the observed
 /// behaviour. Closures `FnMut(&[u8]) -> TargetResponse` are adapted via
-/// [`ClosureTarget`]; simulation-backed targets (see
-/// [`crate::sim_target::SimOracle`]) additionally override
-/// [`FuzzTarget::respond_batch`] so one dispatch executes many inputs —
-/// e.g. by stepping a whole batch of forked worlds in lockstep.
-///
-/// Contract: `respond_batch` must produce exactly the responses that
-/// sequential [`FuzzTarget::respond`] calls over the same inputs would.
-/// The fuzzer's bit-identical-report guarantee across batch sizes relies
-/// on this; the default implementation delegates input by input, so it
-/// holds trivially unless overridden.
+/// [`ClosureTarget`]; simulation-backed targets implement it directly
+/// (see [`crate::sim_target::SimOracle`]).
 pub trait FuzzTarget {
     /// Executes one input.
     fn respond(&mut self, input: &[u8]) -> TargetResponse;
 
-    /// Executes a batch of inputs, writing one response per input — in
-    /// input order — into `out`. Implementations must clear `out` first.
+    /// Executes `inputs` one by one through [`FuzzTarget::respond`],
+    /// writing one response per input, in input order, into `out`. The
+    /// fuzzer never calls it; it remains only because the
+    /// out-of-workspace `perfbench/` benchmark still overrides and calls
+    /// it. Remove it together with that code.
+    #[deprecated(note = "the fuzzer executes inputs through `respond` only")]
     fn respond_batch(&mut self, inputs: &[Vec<u8>], out: &mut Vec<TargetResponse>) {
         out.clear();
         for input in inputs {
@@ -162,7 +154,6 @@ pub struct Fuzzer {
     base_seed: u64,
     obs: Obs,
     triage: Option<TriageConfig>,
-    batch_size: usize,
 }
 
 impl std::fmt::Debug for Fuzzer {
@@ -207,8 +198,7 @@ struct PendingMeta {
     coverage_delta: usize,
 }
 
-/// Mutable per-shard accounting shared by the sequential and batched
-/// execution paths of [`run_shard`], so the two cannot drift apart.
+/// Mutable per-shard accounting of [`run_shard`].
 struct ShardState {
     coverage: CoverageMap,
     seen_crashes: HashSet<Vec<u8>>,
@@ -235,10 +225,7 @@ impl ShardState {
     }
 
     /// Generates input `i` into the scratch buffer and records its
-    /// coverage, returning the metadata later accounting needs. Strictly
-    /// sequential in iteration order in both execution modes — the
-    /// mutator's RNG stream and the coverage bitset never observe
-    /// batching.
+    /// coverage, returning the metadata its accounting needs.
     fn generate_and_record(
         &mut self,
         mutator: &mut Mutator,
@@ -263,9 +250,7 @@ impl ShardState {
         }
     }
 
-    /// Accounts one `(input, response)` pair, in global iteration order —
-    /// identical bookkeeping whether the response arrived one by one or
-    /// from a batched flush.
+    /// Accounts one `(input, response)` pair, in global iteration order.
     fn account(
         &mut self,
         paths: &[AttackPath],
@@ -319,91 +304,28 @@ impl ShardState {
     }
 }
 
-/// Hands the pending inputs to the target's batched dispatch and accounts
-/// the responses in iteration order.
-///
-/// # Panics
-///
-/// Panics when the target's [`FuzzTarget::respond_batch`] violates its
-/// contract by returning a different number of responses than inputs.
-fn flush_pending(
-    target: &mut dyn FuzzTarget,
-    state: &mut ShardState,
-    paths: &[AttackPath],
-    shard_obs: &ShardObs<'_>,
-    inputs: &mut Vec<Vec<u8>>,
-    meta: &mut Vec<PendingMeta>,
-    responses: &mut Vec<TargetResponse>,
-) {
-    if inputs.is_empty() {
-        return;
-    }
-    target.respond_batch(inputs, responses);
-    assert_eq!(responses.len(), inputs.len(), "respond_batch must return one response per input");
-    for ((meta, bytes), response) in meta.drain(..).zip(inputs.drain(..)).zip(responses.drain(..)) {
-        state.account(paths, shard_obs, &meta, &bytes, response);
-    }
-}
-
 /// The core fuzz loop over one iteration range. Used by both the serial
 /// run and every parallel shard, so a one-shard parallel run is the
 /// serial run.
 ///
-/// With `batch_size <= 1` (the default) the loop is allocation-free per
-/// input: generation writes into one reusable [`GeneratedInput`] scratch
-/// buffer and coverage recording is bitset arithmetic; only rare events
-/// allocate (a new unique crash clones its input bytes). With a larger
-/// batch size, generation and coverage recording stay strictly sequential
-/// in iteration order while target execution is deferred into
-/// [`FuzzTarget::respond_batch`] flushes (buffering one input clone per
-/// pending slot) whose responses are accounted in iteration order — so
-/// the shard outcome is bit-identical for every batch size.
+/// The loop is allocation-free per input: generation writes into one
+/// reusable [`GeneratedInput`] scratch buffer and coverage recording is
+/// bitset arithmetic; only rare events allocate (a new unique crash
+/// clones its input bytes).
 fn run_shard(
     mutator: &mut Mutator,
     paths: &[AttackPath],
     range: Range<usize>,
     shard: usize,
     target: &mut dyn FuzzTarget,
-    batch_size: usize,
     shard_obs: &ShardObs<'_>,
 ) -> ShardOutcome {
     let mut state = ShardState::new(CoverageMap::new(mutator.model(), paths.len()));
     let mut input = GeneratedInput::empty();
-    if batch_size <= 1 {
-        for i in range {
-            let meta = state.generate_and_record(mutator, paths, i, &mut input);
-            let response = target.respond(&input.bytes);
-            state.account(paths, shard_obs, &meta, &input.bytes, response);
-        }
-    } else {
-        let mut pending_inputs: Vec<Vec<u8>> = Vec::with_capacity(batch_size);
-        let mut pending_meta: Vec<PendingMeta> = Vec::with_capacity(batch_size);
-        let mut responses: Vec<TargetResponse> = Vec::with_capacity(batch_size);
-        for i in range {
-            let meta = state.generate_and_record(mutator, paths, i, &mut input);
-            pending_inputs.push(input.bytes.clone());
-            pending_meta.push(meta);
-            if pending_inputs.len() == batch_size {
-                flush_pending(
-                    target,
-                    &mut state,
-                    paths,
-                    shard_obs,
-                    &mut pending_inputs,
-                    &mut pending_meta,
-                    &mut responses,
-                );
-            }
-        }
-        flush_pending(
-            target,
-            &mut state,
-            paths,
-            shard_obs,
-            &mut pending_inputs,
-            &mut pending_meta,
-            &mut responses,
-        );
+    for i in range {
+        let meta = state.generate_and_record(mutator, paths, i, &mut input);
+        let response = target.respond(&input.bytes);
+        state.account(paths, shard_obs, &meta, &input.bytes, response);
     }
     state.into_outcome(shard)
 }
@@ -465,22 +387,14 @@ impl Fuzzer {
             base_seed: seed,
             obs: Obs::noop(),
             triage: None,
-            batch_size: 1,
         }
     }
 
-    /// Sets how many pending inputs are handed to the target per
-    /// [`FuzzTarget::respond_batch`] dispatch (clamped to at least 1; the
-    /// default of 1 executes inputs one by one on the exact sequential
-    /// code path).
-    ///
-    /// Batching never changes the report: input generation and coverage
-    /// recording stay strictly sequential in iteration order and
-    /// responses are accounted in iteration order, so for any batch size
-    /// the merged [`FuzzReport`] is bit-identical to the sequential run —
-    /// provided the target honours the [`FuzzTarget`] batching contract.
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size.max(1);
+    /// Does nothing: inputs always execute one by one. Kept only because
+    /// the out-of-workspace `perfbench/` benchmark still calls it; remove
+    /// it together with that call.
+    #[deprecated(note = "inputs always execute one by one; drop the call")]
+    pub fn with_batch_size(self, _batch_size: usize) -> Self {
         self
     }
 
@@ -520,10 +434,7 @@ impl Fuzzer {
         self.run_target(paths, iterations, &mut ClosureTarget(target))
     }
 
-    /// [`Fuzzer::run`] over a [`FuzzTarget`] oracle. Honours
-    /// [`Fuzzer::with_batch_size`]: pending inputs are executed through
-    /// the target's [`FuzzTarget::respond_batch`] without changing the
-    /// report.
+    /// [`Fuzzer::run`] over a [`FuzzTarget`] oracle.
     pub fn run_target(
         &mut self,
         paths: &[AttackPath],
@@ -536,15 +447,7 @@ impl Fuzzer {
             throughput_gauge: "fuzz.inputs_per_sec",
             emit_cell_batches: true,
         };
-        let outcome = run_shard(
-            &mut self.mutator,
-            paths,
-            0..iterations,
-            0,
-            target,
-            self.batch_size,
-            &shard_obs,
-        );
+        let outcome = run_shard(&mut self.mutator, paths, 0..iterations, 0, target, &shard_obs);
         let report = merge_shard_outcomes(vec![outcome], iterations, &self.obs);
         self.run_triage(&report, 1, target);
         span.finish();
@@ -585,10 +488,7 @@ impl Fuzzer {
         })
     }
 
-    /// [`Fuzzer::run_parallel`] over [`FuzzTarget`] oracles. Honours
-    /// [`Fuzzer::with_batch_size`] inside every shard; the determinism
-    /// contract is unchanged because batching never alters a shard's
-    /// outcome.
+    /// [`Fuzzer::run_parallel`] over [`FuzzTarget`] oracles.
     pub fn run_parallel_targets<T, F>(
         &self,
         paths: &[AttackPath],
@@ -636,7 +536,7 @@ impl Fuzzer {
         let outcomes = shard::map_ordered(jobs, threads, |(shard, mut target)| {
             let mut mutator = Mutator::new(model.clone(), shard::seed(self.base_seed, shard));
             let range = shard::range(iterations, shards, shard);
-            run_shard(&mut mutator, paths, range, shard, &mut target, self.batch_size, &shard_obs)
+            run_shard(&mut mutator, paths, range, shard, &mut target, &shard_obs)
         });
         let report = merge_shard_outcomes(outcomes, iterations, &self.obs);
         self.obs.gauge("fuzz.shards", shards as f64);
@@ -952,78 +852,16 @@ mod tests {
         assert_eq!(report.accepted + report.rejected, 5);
     }
 
-    /// A target whose `respond_batch` really is batched (computed over
-    /// the whole slice in one call), exercising the flush path end to
-    /// end.
-    struct BatchyTarget {
-        batched_calls: usize,
-    }
-
-    impl FuzzTarget for BatchyTarget {
-        fn respond(&mut self, input: &[u8]) -> TargetResponse {
-            crashy_target(input)
-        }
-
-        fn respond_batch(&mut self, inputs: &[Vec<u8>], out: &mut Vec<TargetResponse>) {
-            self.batched_calls += 1;
-            out.clear();
-            out.extend(inputs.iter().map(|input| crashy_target(input)));
-        }
-    }
-
+    /// The deprecated `with_batch_size` is a no-op for every size.
     #[test]
-    fn batched_run_is_bit_identical_to_serial() {
-        let mut serial = Fuzzer::new(v2x_warning_model(), 11);
-        let serial_report = serial.run(&paths(), 2_000, crashy_target);
-        // Batch sizes that divide the range, leave a remainder flush, and
-        // exceed it entirely (one flush at the end).
-        for batch_size in [2usize, 7, 64, 3_000] {
-            let mut fuzzer = Fuzzer::new(v2x_warning_model(), 11).with_batch_size(batch_size);
-            let mut target = BatchyTarget { batched_calls: 0 };
-            let report = fuzzer.run_target(&paths(), 2_000, &mut target);
-            assert_eq!(report, serial_report, "batch size {batch_size}");
-            assert!(target.batched_calls > 0, "batched dispatch used");
-        }
-    }
-
-    #[test]
-    fn batched_parallel_matches_unbatched_parallel() {
-        let unbatched =
-            Fuzzer::new(v2x_warning_model(), 9).run_parallel(&paths(), 3_000, 3, |_| crashy_target);
-        let batched = Fuzzer::new(v2x_warning_model(), 9).with_batch_size(16).run_parallel_targets(
-            &paths(),
-            3_000,
-            3,
-            |_| BatchyTarget { batched_calls: 0 },
-        );
-        assert_eq!(unbatched, batched);
-    }
-
-    #[test]
+    #[allow(deprecated)]
     fn zero_batch_size_clamps_to_sequential() {
         let mut sequential = Fuzzer::new(v2x_warning_model(), 12);
         let expected = sequential.run(&paths(), 500, crashy_target);
-        let mut clamped = Fuzzer::new(v2x_warning_model(), 12).with_batch_size(0);
-        assert_eq!(clamped.run(&paths(), 500, crashy_target), expected);
-    }
-
-    struct ShortBatch;
-
-    impl FuzzTarget for ShortBatch {
-        fn respond(&mut self, _: &[u8]) -> TargetResponse {
-            TargetResponse::Rejected
+        for batch_size in [0, 16] {
+            let mut fuzzer = Fuzzer::new(v2x_warning_model(), 12).with_batch_size(batch_size);
+            assert_eq!(fuzzer.run(&paths(), 500, crashy_target), expected);
         }
-
-        fn respond_batch(&mut self, _inputs: &[Vec<u8>], out: &mut Vec<TargetResponse>) {
-            out.clear(); // zero responses for a non-empty batch
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "one response per input")]
-    fn respond_batch_length_mismatch_is_rejected() {
-        let mut fuzzer = Fuzzer::new(v2x_warning_model(), 1).with_batch_size(8);
-        fuzzer.run_target(&paths(), 100, &mut ShortBatch);
     }
 
     #[test]

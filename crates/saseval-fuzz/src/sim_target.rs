@@ -12,12 +12,6 @@
 //!   [`TargetResponse::Rejected`] (a deployed control caught the input),
 //! * otherwise [`TargetResponse::Accepted`] (absorbed without harm).
 //!
-//! The oracle's [`FuzzTarget::respond_batch`] steps all forks of one
-//! fuzzer batch as a [`KeylessBatch`]/[`ConstructionBatch`] in lockstep —
-//! bit-identical to sequential stepping by the batch module's
-//! construction — so `Fuzzer::with_batch_size` amortizes the dispatch
-//! loop without perturbing the report's determinism contract.
-//!
 //! The warm prefix must be attacker-free: classification attributes log
 //! entries from [`FUZZ_SENDER`] to the injected input, which holds
 //! because the prefix world never saw that sender.
@@ -27,7 +21,7 @@ use saseval_types::SimTime;
 use vehicle_net::v2x::V2xMessage;
 use vehicle_sim::construction::{ConstructionConfig, ConstructionWorld};
 use vehicle_sim::keyless::{KeylessConfig, KeylessWorld};
-use vehicle_sim::{ConstructionBatch, KeylessBatch, WorldSnapshot};
+use vehicle_sim::WorldSnapshot;
 
 use crate::fuzzer::{FuzzTarget, TargetResponse};
 
@@ -126,36 +120,6 @@ impl FuzzTarget for SimOracle {
             }
         }
     }
-
-    fn respond_batch(&mut self, inputs: &[Vec<u8>], out: &mut Vec<TargetResponse>) {
-        out.clear();
-        match &self.scenario {
-            Scenario::Keyless(snapshot) => {
-                let worlds = inputs
-                    .iter()
-                    .map(|input| {
-                        let mut world = snapshot.fork();
-                        world.send_ble(FUZZ_SENDER, input.clone());
-                        world
-                    })
-                    .collect();
-                let finished = KeylessBatch::new(worlds).run(&mut |_, _, _| {});
-                out.extend(finished.into_iter().map(classify_keyless));
-            }
-            Scenario::Construction(snapshot) => {
-                let worlds = inputs
-                    .iter()
-                    .map(|input| {
-                        let mut world = snapshot.fork();
-                        inject_construction(&mut world, input);
-                        world
-                    })
-                    .collect();
-                let finished = ConstructionBatch::new(worlds).run(&mut |_, _, _| {});
-                out.extend(finished.into_iter().map(classify_construction));
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -165,9 +129,6 @@ mod tests {
     use vehicle_sim::ControlSelection;
 
     use super::*;
-    use crate::fuzzer::Fuzzer;
-    use crate::model::{keyless_command_model, v2x_warning_model};
-    use saseval_tara::tree::{AttackTree, TreeNode};
 
     fn short_keyless(controls: ControlSelection) -> KeylessConfig {
         KeylessConfig { horizon: Ftti::from_secs(2), controls, ..Default::default() }
@@ -205,7 +166,10 @@ mod tests {
         assert_eq!(response, TargetResponse::Rejected);
     }
 
+    /// The deprecated trait-default `respond_batch`, which `perfbench/`
+    /// still calls on this oracle, answers exactly as `respond` does.
     #[test]
+    #[allow(deprecated)]
     fn batched_responses_match_sequential_responses() {
         let inputs: Vec<Vec<u8>> = vec![
             open_command(),
@@ -221,50 +185,5 @@ mod tests {
             oracle.respond_batch(&inputs, &mut batched);
             assert_eq!(batched, sequential);
         }
-    }
-
-    #[test]
-    fn batched_fuzz_over_sim_oracle_is_bit_identical_to_serial() {
-        let paths = AttackTree::new(
-            "Open the vehicle",
-            TreeNode::leaf_on("send forged open command", "BLE_PHONE"),
-        )
-        .unwrap()
-        .paths()
-        .unwrap();
-        let config = KeylessConfig {
-            horizon: Ftti::from_millis(300),
-            controls: ControlSelection::none(),
-            ..Default::default()
-        };
-        let mut oracle = SimOracle::keyless(config, SimTime::from_millis(50));
-        let serial =
-            Fuzzer::new(keyless_command_model(), 21).run_target(&paths, 40, &mut oracle.clone());
-        let batched = Fuzzer::new(keyless_command_model(), 21).with_batch_size(8).run_target(
-            &paths,
-            40,
-            &mut oracle,
-        );
-        assert_eq!(serial, batched);
-        assert_eq!(serial.iterations, 40);
-    }
-
-    #[test]
-    fn construction_batched_fuzz_matches_serial() {
-        let paths =
-            AttackTree::new("disrupt warnings", TreeNode::leaf_on("spoof signage", "OBU_RSU"))
-                .unwrap()
-                .paths()
-                .unwrap();
-        let config = ConstructionConfig { horizon: Ftti::from_millis(300), ..Default::default() };
-        let mut oracle = SimOracle::construction(config, SimTime::from_millis(50));
-        let serial =
-            Fuzzer::new(v2x_warning_model(), 3).run_target(&paths, 24, &mut oracle.clone());
-        let batched = Fuzzer::new(v2x_warning_model(), 3).with_batch_size(6).run_target(
-            &paths,
-            24,
-            &mut oracle,
-        );
-        assert_eq!(serial, batched);
     }
 }

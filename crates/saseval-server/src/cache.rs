@@ -452,8 +452,9 @@ mod tests {
         let framed = FramedPayload::frame(b"{\"x\":1}");
         assert_eq!(framed.tail(), b",\"payload\":{\"x\":1}}\n");
         assert_eq!(framed.payload(), b"{\"x\":1}");
+        let clone = framed.clone();
         let a = framed.share();
-        let b = framed.clone().share();
+        let b = clone.share();
         assert!(Arc::ptr_eq(&a, &b), "clones share the framed allocation");
     }
 

@@ -13,8 +13,8 @@
 //! JSON is parsed into [`JobSpec`] (field order disappears, omitted
 //! `#[serde(default)]` fields are filled in, unknown fields are
 //! dropped), sentinel zeros are resolved to their documented defaults by
-//! [`JobSpec::normalized`], execution-tuning knobs that provably cannot
-//! change the payload are erased, and the result is re-serialized with
+//! [`JobSpec::normalized`] (which also zeroes the ignored fuzz `batch`
+//! field), and the result is re-serialized with
 //! the deterministic (declaration-order) vendored `serde_json`. Two
 //! requests that differ only in spelling therefore share one key, while
 //! any semantic difference — scenario, iterations, seed, shard count,
@@ -59,6 +59,11 @@ pub fn code_version() -> String {
 
 /// Horizon a scenario runs to when the spec leaves `horizon_ms` at 0.
 pub const DEFAULT_HORIZON_MS: u64 = 2_000;
+
+/// Largest `shards` a fuzz or scenario job may request. Each shard gets
+/// its own oracle or job state before execution threads are capped, so
+/// the server rejects larger counts up front.
+pub const MAX_SHARDS: usize = 1024;
 
 /// Attack-activation time when the spec leaves `attack_at_ms` at 0 —
 /// the point the warm prefix is frozen at.
@@ -230,13 +235,15 @@ pub struct FuzzJob {
     pub iterations: usize,
     /// Base fuzzer seed.
     pub seed: u64,
-    /// Shard count for the parallel merge; 0 → 1. Part of the cache
-    /// key: different shard counts draw different input streams.
+    /// Shard count for the parallel merge; 0 → 1, at most
+    /// [`MAX_SHARDS`]. Part of the cache key: different shard counts
+    /// draw different input streams.
     #[serde(default)]
     pub shards: usize,
-    /// Batch size for lockstep world stepping; 0 → 16. *Not* part of
-    /// the cache key — batching is proven report-neutral (the PR 6
-    /// batched-equals-serial property), so canonicalization erases it.
+    /// Accepted on the wire and ignored: inputs always execute one by
+    /// one. Normalization sets it to 0, so it never reaches the cache
+    /// key. Kept only because the out-of-workspace `perfbench/`
+    /// benchmark still reads it; remove it together with that code.
     #[serde(default)]
     pub batch: usize,
 }
@@ -372,9 +379,9 @@ pub struct ScenarioJob {
     pub budget: usize,
     /// Base search seed.
     pub seed: u64,
-    /// Shard count for the deterministic sharded merge; 0 → 1. Part of
-    /// the cache key: different shard counts draw different sample
-    /// streams.
+    /// Shard count for the deterministic sharded merge; 0 → 1, at most
+    /// [`MAX_SHARDS`]. Part of the cache key: different shard counts
+    /// draw different sample streams.
     #[serde(default)]
     pub shards: usize,
     /// Fuzz inputs per scenario evaluation; 0 →
@@ -409,7 +416,7 @@ impl JobSpec {
                 iterations: job.iterations,
                 seed: job.seed,
                 shards: job.shards.max(1),
-                batch: if job.batch == 0 { 16 } else { job.batch },
+                batch: 0,
             }),
             JobSpec::Campaign(job) => JobSpec::Campaign(job),
             JobSpec::Lint(job) => JobSpec::Lint(job.normalized()),
@@ -427,14 +434,10 @@ impl JobSpec {
         }
     }
 
-    /// The canonical spec string the cache key hashes: normalized, with
-    /// payload-neutral tuning knobs erased (`batch` — see [`FuzzJob`]).
+    /// The canonical spec string the cache key hashes: the normalized
+    /// spec, serialized.
     pub fn canonical_json(self) -> String {
-        let mut canonical = self.normalized();
-        if let JobSpec::Fuzz(job) = &mut canonical {
-            job.batch = 0;
-        }
-        serde_json::to_string(&canonical).expect("job specs always serialize")
+        serde_json::to_string(&self.normalized()).expect("job specs always serialize")
     }
 
     /// The content-addressed cache key under the given code-version

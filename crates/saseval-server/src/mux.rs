@@ -42,7 +42,7 @@ use serde_json::JsonValue;
 
 use crate::cache::ResultCache;
 use crate::flight::{Detached, InflightTable, Joined, KeyMemo, Waiter};
-use crate::job::JobSpec;
+use crate::job::{JobSpec, MAX_SHARDS};
 use crate::protocol::{
     accepted_frame, cancelled_frame, done_head, error_frame, frame, map_field, progress_frame,
     str_field,
@@ -543,6 +543,19 @@ impl Mux {
                         return;
                     }
                 };
+                // Shards are allocated before thread capping; an unbounded
+                // count would exhaust memory.
+                let shards = match spec {
+                    JobSpec::Fuzz(job) => job.shards,
+                    JobSpec::Scenario(job) => job.shards,
+                    JobSpec::Campaign(_) | JobSpec::Lint(_) => 0,
+                };
+                if shards > MAX_SHARDS {
+                    let message =
+                        format!("invalid job request: shards {shards} exceeds {MAX_SHARDS}");
+                    self.queue_frame(conn_id, error_frame(Some(&id), &message));
+                    return;
+                }
                 let key = spec.cache_key();
                 self.memo.store(spec_text, key, spec);
                 (key, spec)

@@ -457,6 +457,30 @@ mod tests {
     }
 
     #[test]
+    fn oversized_shard_counts_get_an_error_frame_and_the_connection_survives() {
+        let server = start_test_server();
+        let mut client = Client::connect(&server.addr()).unwrap();
+        for (id, job) in [
+            (
+                "f",
+                r#"{"Fuzz":{"scenario":{"Keyless":{}},"iterations":8,"seed":1,"shards":1000000000}}"#,
+            ),
+            ("s", r#"{"Scenario":{"budget":4,"seed":1,"shards":1025}}"#),
+        ] {
+            client.send_line(&format!(r#"{{"id":"{id}","job":{job}}}"#)).unwrap();
+            let error = client.read_frame().unwrap().unwrap();
+            assert_eq!(str_field(&error, "event"), Some("error"));
+            assert_eq!(str_field(&error, "id"), Some(id));
+            let message = str_field(&error, "message").unwrap_or_default();
+            assert!(message.starts_with("invalid job request: shards"), "{message}");
+        }
+        let outcome = client.submit("ok", tiny_job()).unwrap();
+        assert_eq!(outcome.cache, "miss");
+        server.shutdown();
+        server.join();
+    }
+
+    #[test]
     fn lint_job_cache_hits_on_resubmission() {
         let server = start_test_server();
         let mut client = Client::connect(&server.addr()).unwrap();

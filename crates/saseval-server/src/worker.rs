@@ -6,8 +6,8 @@
 //! every fuzz job, and each job's oracle forks from a
 //! [`WorldSnapshot`] warm prefix held resident in the shared
 //! [`SnapshotStore`] — so a job on a known scenario never pays world
-//! construction, only the forks. Campaign jobs run through the
-//! attack engine's lockstep batch executor.
+//! construction, only the forks. Campaign jobs run their cases one by
+//! one through the attack engine's serial campaign runner.
 //!
 //! [`run_job`] is a pure function of the (normalized) spec: same spec,
 //! same code version → byte-identical [`JobPayload`]. That purity is
@@ -33,7 +33,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use attack_engine::campaign::run_campaign_batched_with_obs;
+use attack_engine::campaign::{run_campaign, run_campaign_parallel};
 use saseval_fuzz::fuzzer::Fuzzer;
 use saseval_fuzz::model::{keyless_command_model, v2x_warning_model};
 use saseval_fuzz::sim_target::SimOracle;
@@ -162,7 +162,7 @@ fn run_fuzz_job(job: FuzzJob, snapshots: &SnapshotStore, obs: &Obs) -> JobPayloa
         ScenarioSpec::Keyless(_) => keyless_command_model(),
         ScenarioSpec::Construction(_) => v2x_warning_model(),
     };
-    let fuzzer = Fuzzer::new(model, job.seed).with_batch_size(job.batch).with_obs(obs.clone());
+    let fuzzer = Fuzzer::new(model, job.seed).with_obs(obs.clone());
     let report =
         fuzzer.run_parallel_targets(&paths, job.iterations, job.shards, |_| oracle.clone());
     JobPayload::Fuzz(report)
@@ -175,7 +175,7 @@ fn run_campaign_job(job: CampaignJob, obs: &Obs) -> JobPayload {
             case.seed = job.seed;
         }
     }
-    JobPayload::Campaign(run_campaign_batched_with_obs(&cases, obs))
+    JobPayload::Campaign(run_campaign_parallel(&cases, 1, obs))
 }
 
 fn run_lint_job(job: LintJob, obs: &Obs) -> JobPayload {
@@ -185,7 +185,7 @@ fn run_lint_job(job: LintJob, obs: &Obs) -> JobPayload {
     // see real verdicts; its results are mapped into catalog-local
     // attack IDs exactly as the lint CLI does.
     let trace = job.suite.map(|suite| {
-        let results = attack_engine::execute_batch(&suite.cases());
+        let results = run_campaign(&suite.cases()).results;
         TraceInputs {
             verdicts: campaign_verdicts(&results, job.catalog.tag()),
             evidence: Vec::new(),
@@ -205,8 +205,8 @@ fn run_lint_job(job: LintJob, obs: &Obs) -> JobPayload {
 }
 
 /// Executes `spec` to its deterministic payload. Fuzz jobs fork from
-/// the store's resident warm prefix; campaign jobs run the attack
-/// engine's lockstep batch executor; lint jobs run the trace-graph
+/// the store's resident warm prefix; campaign jobs run their cases one
+/// by one on the job's worker thread; lint jobs run the trace-graph
 /// static analysis. Metrics land on `obs`.
 pub fn run_job(spec: JobSpec, snapshots: &SnapshotStore, obs: &Obs) -> JobPayload {
     match spec.normalized() {
@@ -491,8 +491,7 @@ mod tests {
         let first = run_job(small_fuzz_spec(), &snapshots, &Obs::noop()).to_bytes();
         let second = run_job(small_fuzz_spec(), &snapshots, &Obs::noop()).to_bytes();
         assert_eq!(first, second);
-        // A different batch size must not change the payload (the knob
-        // canonicalization erases from the cache key).
+        // The ignored `batch` wire field must not change the payload.
         let JobSpec::Fuzz(mut job) = small_fuzz_spec() else { unreachable!() };
         job.batch = 1;
         let serial = run_job(JobSpec::Fuzz(job), &snapshots, &Obs::noop()).to_bytes();

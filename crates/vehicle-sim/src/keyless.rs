@@ -558,14 +558,8 @@ impl KeylessWorld {
         }
         let now = self.now;
         attacker.on_tick(self, now);
-        self.tick_body();
-        true
-    }
-
-    /// The attacker-independent part of one tick: owner-script drain
-    /// (via the allocation-free [`EventQueue::pop_due_into`]), gateway
-    /// admission, lock actuation, time advance.
-    pub(crate) fn tick_body(&mut self) {
+        // Owner-script drain (allocation-free via
+        // `EventQueue::pop_due_into`), gateway admission, lock actuation.
         let mut actions = std::mem::take(&mut self.action_buf);
         self.owner_script.pop_due_into(self.now, &mut actions);
         for action in actions.drain(..) {
@@ -576,6 +570,7 @@ impl KeylessWorld {
         self.actuator_tick();
         self.now += self.config.tick;
         self.ticks += 1;
+        true
     }
 
     /// Steps until virtual time reaches `until` (or the run ends).

@@ -9,8 +9,8 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc --no-deps (warnings denied)"
 # Explicit -p list: the vendored crates are workspace members but their
@@ -28,11 +28,21 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+echo "==> perfbench: the benchmark still builds and its tests pass"
+# perfbench is its own package and compiles against the workspace's
+# library APIs. Building it rewrites perfbench/Cargo.lock, so the
+# committed lockfile is saved first and restored on exit.
+PERFBENCH_LOCK="$(mktemp)"
+cp perfbench/Cargo.lock "$PERFBENCH_LOCK"
+trap 'cp "$PERFBENCH_LOCK" perfbench/Cargo.lock; rm -f "$PERFBENCH_LOCK"' EXIT
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+cp "$PERFBENCH_LOCK" perfbench/Cargo.lock
+rm -f "$PERFBENCH_LOCK"
+trap - EXIT
+
 echo "==> sharded fuzzing smoke: repro_tables fuzz --fuzz-shards 2"
 cargo run -q --release -p saseval-bench --bin repro_tables -- fuzz --fuzz-shards 2
-
-echo "==> batched fuzzing smoke: repro_tables fuzz --fuzz-batch 64 (batched == serial)"
-cargo run -q --release -p saseval-bench --bin repro_tables -- fuzz --fuzz-batch 64
 
 echo "==> regression corpus: cargo test --test corpus_replay"
 cargo test -q --test corpus_replay
