@@ -94,7 +94,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // over the simulation oracle (the numbers EXPERIMENTS.md records).
     let export = FuzzBenchExport {
         grid: saseval_bench::fuzz_bench::fuzz_throughput_grid(200_000),
-        warm_prefix: saseval_bench::sim_bench::warm_prefix_comparison(256),
+        warm_prefix: saseval_bench::sim_bench::warm_prefix_comparison(2_048),
     };
     let json = serde_json::to_string_pretty(&export)?;
     let path = out_dir.join("BENCH_fuzz.json");

@@ -5,9 +5,15 @@
 //! attack-activation time.
 //!
 //! Both strategies answer every input identically (asserted here),
-//! so the comparison isolates the cost of re-simulating the attacker-free
+//! so the comparison isolates the cost of re-simulating the shared
 //! prefix — the work [`WorldSnapshot`](vehicle_sim::WorldSnapshot)
-//! amortizes across inputs.
+//! amortizes across inputs. Replay runs the prefix through
+//! [`KeylessWorld::run_until`], which skips idle ticks, so an
+//! attacker-free prefix costs replay almost nothing. The measured prefix
+//! is therefore *busy*: the owner's phone sends a close request every
+//! [`OWNER_PERIOD_MS`], and each one crosses the radio, the gateway's
+//! control stack and the CAN bus. The idle prefix is measured alongside
+//! as an informational ratio.
 
 use std::time::Instant;
 
@@ -18,9 +24,16 @@ use serde::{Deserialize, Serialize};
 use vehicle_sim::keyless::{KeylessConfig, KeylessWorld};
 use vehicle_sim::ControlSelection;
 
-/// One measured execution strategy.
+/// Period of the owner's close requests in the busy prefix. The vehicle
+/// stays closed, so no safety goal trips and inputs classify on their
+/// own merits.
+pub const OWNER_PERIOD_MS: u64 = 500;
+
+/// One measured execution strategy on one prefix.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimThroughputRow {
+    /// Prefix kind: `busy` (owner close requests) or `idle`.
+    pub prefix: String,
     /// Strategy name: `replay-from-zero` or `fork-from-snapshot`.
     pub strategy: String,
     /// Inputs executed.
@@ -34,20 +47,32 @@ pub struct SimThroughputRow {
 /// The warm-prefix comparison document (embedded into `BENCH_fuzz.json`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimThroughputExport {
-    /// Length of the attacker-free prefix every input shares.
+    /// Length of the prefix every input shares.
     pub warm_prefix_ms: u64,
     /// Simulated time between attack activation and the horizon.
     pub tail_ms: u64,
-    /// The measured rows, one per strategy.
+    /// Period of the busy prefix's owner close requests.
+    pub owner_period_ms: u64,
+    /// The measured rows: both strategies on the busy prefix, then both
+    /// on the idle one.
     pub rows: Vec<SimThroughputRow>,
-    /// Throughput of `fork-from-snapshot` over `replay-from-zero`.
+    /// Throughput of `fork-from-snapshot` over `replay-from-zero` on the
+    /// busy prefix — the work a snapshot saves.
     pub fork_speedup: f64,
+    /// The same ratio on the attacker-free idle prefix. Informational
+    /// and unbounded: replay skips the idle ticks, so the two strategies
+    /// differ by little more than one world construction.
+    pub idle_fork_speedup: f64,
 }
 
 impl SimThroughputExport {
-    /// The row for `strategy`; panics if the export doesn't contain it.
-    pub fn row(&self, strategy: &str) -> &SimThroughputRow {
-        self.rows.iter().find(|r| r.strategy == strategy).expect("strategy row")
+    /// The row for `strategy` on `prefix`; panics if the export doesn't
+    /// contain it.
+    pub fn row(&self, prefix: &str, strategy: &str) -> &SimThroughputRow {
+        self.rows
+            .iter()
+            .find(|r| r.prefix == prefix && r.strategy == strategy)
+            .expect("strategy row")
     }
 }
 
@@ -57,6 +82,19 @@ fn bench_config(warm_prefix_ms: u64, tail_ms: u64) -> KeylessConfig {
         horizon: Ftti::from_millis(warm_prefix_ms + tail_ms),
         ..Default::default()
     }
+}
+
+/// A fresh world with the prefix's owner script scheduled: close
+/// requests every [`OWNER_PERIOD_MS`] before `warm_prefix_ms` when
+/// `busy`, nothing otherwise.
+fn prefix_world(config: &KeylessConfig, warm_prefix_ms: u64, busy: bool) -> KeylessWorld {
+    let mut world = KeylessWorld::new(config.clone());
+    if busy {
+        for at_ms in (0..warm_prefix_ms).step_by(OWNER_PERIOD_MS as usize) {
+            world.schedule_owner_close(SimTime::from_millis(at_ms));
+        }
+    }
+    world
 }
 
 /// Deterministic input mix: valid-length frames, short garbage and empty
@@ -72,11 +110,12 @@ fn bench_inputs(count: usize) -> Vec<Vec<u8>> {
         .collect()
 }
 
-fn timed_row(strategy: &str, inputs: usize, run: impl FnOnce()) -> SimThroughputRow {
+fn timed_row(prefix: &str, strategy: &str, inputs: usize, run: impl FnOnce()) -> SimThroughputRow {
     let start = Instant::now();
     run();
     let seconds = start.elapsed().as_secs_f64();
     SimThroughputRow {
+        prefix: prefix.to_owned(),
         strategy: strategy.to_owned(),
         inputs,
         seconds,
@@ -84,28 +123,31 @@ fn timed_row(strategy: &str, inputs: usize, run: impl FnOnce()) -> SimThroughput
     }
 }
 
-/// Measures both strategies on the keyless oracle: a warm prefix of
-/// `warm_prefix_ms` virtual milliseconds, a fuzzed tail of `tail_ms`, and
-/// `count` inputs per strategy. Panics if the strategies ever classify an
-/// input differently — the speedup must never come from skipped work.
-pub fn measure_sim_strategies(
+/// Times both strategies over one prefix kind and returns the replay
+/// row, the fork row and the fork speedup. Panics if the strategies
+/// ever classify an input differently — the speedup must never come
+/// from skipped work.
+fn measure_prefix(
+    config: &KeylessConfig,
     warm_prefix_ms: u64,
-    tail_ms: u64,
-    count: usize,
-) -> SimThroughputExport {
-    let config = bench_config(warm_prefix_ms, tail_ms);
+    inputs: &[Vec<u8>],
+    busy: bool,
+) -> (SimThroughputRow, SimThroughputRow, f64) {
+    let prefix = if busy { "busy" } else { "idle" };
     let attack_at = SimTime::from_millis(warm_prefix_ms);
-    let inputs = bench_inputs(count);
-    let mut oracle = SimOracle::keyless(config.clone(), attack_at);
+    let horizon = SimTime::ZERO + config.horizon;
+    let mut warm = prefix_world(config, warm_prefix_ms, busy);
+    warm.run_until(attack_at, &mut ());
+    let mut oracle = SimOracle::keyless_from(warm.snapshot());
 
     // Replay-from-zero: every input pays for the whole prefix again.
-    let mut replayed = Vec::with_capacity(count);
-    let replay = timed_row("replay-from-zero", count, || {
-        for input in &inputs {
-            let mut world = KeylessWorld::new(config.clone());
+    let mut replayed = Vec::with_capacity(inputs.len());
+    let replay = timed_row(prefix, "replay-from-zero", inputs.len(), || {
+        for input in inputs {
+            let mut world = prefix_world(config, warm_prefix_ms, busy);
             world.run_until(attack_at, &mut ());
             world.send_ble(FUZZ_SENDER, input.clone());
-            while world.step(&mut ()) {}
+            world.run_until(horizon, &mut ());
             let rejected = world.security_log().events().iter().any(|e| e.sender == FUZZ_SENDER);
             replayed.push(if world.into_outcome().any_violation() {
                 TargetResponse::Crash
@@ -118,17 +160,40 @@ pub fn measure_sim_strategies(
     });
 
     // Fork-from-snapshot: the prefix is simulated once, above.
-    let mut forked = Vec::with_capacity(count);
-    let fork = timed_row("fork-from-snapshot", count, || {
-        for input in &inputs {
+    let mut forked = Vec::with_capacity(inputs.len());
+    let fork = timed_row(prefix, "fork-from-snapshot", inputs.len(), || {
+        for input in inputs {
             forked.push(oracle.respond(input));
         }
     });
 
-    assert_eq!(replayed, forked, "fork-from-snapshot diverged from replay-from-zero");
+    assert_eq!(replayed, forked, "fork-from-snapshot diverged from replay-from-zero ({prefix})");
+    let speedup = fork.inputs_per_sec / replay.inputs_per_sec;
+    (replay, fork, speedup)
+}
 
-    let fork_speedup = fork.inputs_per_sec / replay.inputs_per_sec;
-    SimThroughputExport { warm_prefix_ms, tail_ms, rows: vec![replay, fork], fork_speedup }
+/// Measures both strategies on the keyless oracle over a busy and an
+/// idle prefix of `warm_prefix_ms` virtual milliseconds, a fuzzed tail
+/// of `tail_ms`, and `count` inputs per strategy and prefix.
+pub fn measure_sim_strategies(
+    warm_prefix_ms: u64,
+    tail_ms: u64,
+    count: usize,
+) -> SimThroughputExport {
+    let config = bench_config(warm_prefix_ms, tail_ms);
+    let inputs = bench_inputs(count);
+    let (busy_replay, busy_fork, fork_speedup) =
+        measure_prefix(&config, warm_prefix_ms, &inputs, true);
+    let (idle_replay, idle_fork, idle_fork_speedup) =
+        measure_prefix(&config, warm_prefix_ms, &inputs, false);
+    SimThroughputExport {
+        warm_prefix_ms,
+        tail_ms,
+        owner_period_ms: OWNER_PERIOD_MS,
+        rows: vec![busy_replay, busy_fork, idle_replay, idle_fork],
+        fork_speedup,
+        idle_fork_speedup,
+    }
 }
 
 /// The configuration exported to `BENCH_fuzz.json` and EXPERIMENTS.md: a
@@ -143,18 +208,23 @@ mod tests {
 
     #[test]
     fn fork_from_snapshot_is_at_least_3x_faster_than_replay() {
-        // 20 s of warm prefix vs a 200 ms tail: the fork pays ~20 ticks
-        // plus one deep clone where the replay pays ~2 000 ticks, so the
-        // expected speedup is well over an order of magnitude — asserting
-        // >= 3x leaves a huge margin for noisy CI machines.
-        let export = measure_sim_strategies(20_000, 200, 12);
+        // 20 s of busy prefix (40 owner close requests, each crossing
+        // the radio, the control stack and the CAN bus) vs a 200 ms
+        // tail: replay pays for that traffic on every input, the fork
+        // pays one deep clone. 2 048 inputs keep the timed sections in
+        // the milliseconds.
+        let export = measure_sim_strategies(20_000, 200, 2_048);
         assert!(
             export.fork_speedup >= 3.0,
-            "fork-from-snapshot only {:.2}x faster than replay-from-zero: {export:?}",
-            export.fork_speedup
+            "fork-from-snapshot only {:.2}x faster than replay-from-zero: {:?}",
+            export.fork_speedup,
+            export.rows
         );
-        assert_eq!(export.rows.len(), 2);
-        assert_eq!(export.row("replay-from-zero").inputs, 12);
+        assert_eq!(export.rows.len(), 4);
+        assert_eq!(export.row("busy", "replay-from-zero").inputs, 2_048);
+        // The idle-prefix ratio is informational: replay skips its idle
+        // ticks, so no bound applies.
+        assert!(export.idle_fork_speedup > 0.0);
     }
 
     #[test]
@@ -163,6 +233,7 @@ mod tests {
         assert!(export.fork_speedup > 0.0);
         let json = serde_json::to_string(&export).expect("serializable");
         assert!(json.contains("fork_speedup"));
+        assert!(json.contains("idle_fork_speedup"));
         assert!(json.contains("replay-from-zero"));
     }
 }

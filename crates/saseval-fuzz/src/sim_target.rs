@@ -5,7 +5,10 @@
 //! copy-on-write [`WorldSnapshot`]. Each fuzz input then *forks* from
 //! that warm prefix instead of re-simulating from `t = 0`, is injected as
 //! a frame from the hostile sender [`FUZZ_SENDER`], and the fork steps to
-//! its end condition. Classification:
+//! its end condition. Keyless forks run to the horizon through
+//! [`KeylessWorld::run_until`], which skips the idle ticks after the
+//! injected frame has been handled; construction forks step every tick.
+//! Classification:
 //!
 //! * any safety-goal violation → [`TargetResponse::Crash`],
 //! * otherwise a security-log event naming the fuzz sender →
@@ -109,7 +112,8 @@ impl FuzzTarget for SimOracle {
             Scenario::Keyless(snapshot) => {
                 let mut world = snapshot.fork();
                 world.send_ble(FUZZ_SENDER, input.to_vec());
-                while world.step(&mut ()) {}
+                let horizon = SimTime::ZERO + world.config().horizon;
+                world.run_until(horizon, &mut ());
                 classify_keyless(world)
             }
             Scenario::Construction(snapshot) => {

@@ -65,6 +65,18 @@ pub const DEFAULT_HORIZON_MS: u64 = 2_000;
 /// the server rejects larger counts up front.
 pub const MAX_SHARDS: usize = 1024;
 
+/// Largest fuzz `iterations`, and scenario `eval_iterations`, a job may
+/// request: 2²⁴ inputs.
+pub const MAX_ITERATIONS: usize = 1 << 24;
+
+/// Largest scenario-search `budget` a job may request.
+pub const MAX_BUDGET: usize = 1 << 16;
+
+/// Largest fuzz-scenario `horizon_ms` and `attack_at_ms`: ten minutes of
+/// virtual time. Construction worlds step every tick, so the horizon
+/// bounds the work of every input.
+pub const MAX_HORIZON_MS: u64 = 600_000;
+
 /// Attack-activation time when the spec leaves `attack_at_ms` at 0 —
 /// the point the warm prefix is frozen at.
 pub const DEFAULT_ATTACK_AT_MS: u64 = 100;
@@ -196,6 +208,14 @@ impl ScenarioSpec {
             ScenarioSpec::Construction(s) => s.attack_at_ms,
         };
         SimTime::from_millis(ms)
+    }
+
+    /// `(horizon_ms, attack_at_ms)` as given, zero sentinels included.
+    fn times_ms(self) -> (u64, u64) {
+        match self {
+            ScenarioSpec::Keyless(s) => (s.horizon_ms, s.attack_at_ms),
+            ScenarioSpec::Construction(s) => (s.horizon_ms, s.attack_at_ms),
+        }
     }
 
     /// The keyless world configuration (normalized), if this is a
@@ -434,6 +454,36 @@ impl JobSpec {
         }
     }
 
+    /// Why the server refuses this spec before keying it, if it does:
+    /// a shard count, input count, budget or scenario time above its cap
+    /// ([`MAX_SHARDS`], [`MAX_ITERATIONS`], [`MAX_BUDGET`],
+    /// [`MAX_HORIZON_MS`]), or a scenario space that fails
+    /// [`ScenarioSpace::validate`].
+    pub fn admission_error(self) -> Option<String> {
+        fn over<T: Copy + PartialOrd + std::fmt::Display>(
+            name: &str,
+            value: T,
+            cap: T,
+        ) -> Option<String> {
+            (value > cap).then(|| format!("{name} {value} exceeds {cap}"))
+        }
+        let reason = match self {
+            JobSpec::Fuzz(job) => {
+                let (horizon_ms, attack_at_ms) = job.scenario.times_ms();
+                over("shards", job.shards, MAX_SHARDS)
+                    .or_else(|| over("iterations", job.iterations, MAX_ITERATIONS))
+                    .or_else(|| over("horizon_ms", horizon_ms, MAX_HORIZON_MS))
+                    .or_else(|| over("attack_at_ms", attack_at_ms, MAX_HORIZON_MS))
+            }
+            JobSpec::Scenario(job) => over("shards", job.shards, MAX_SHARDS)
+                .or_else(|| over("budget", job.budget, MAX_BUDGET))
+                .or_else(|| over("eval_iterations", job.eval_iterations, MAX_ITERATIONS))
+                .or_else(|| job.space.validate().err().map(|e| format!("scenario space: {e}"))),
+            JobSpec::Campaign(_) | JobSpec::Lint(_) => None,
+        };
+        reason.map(|reason| format!("invalid job request: {reason}"))
+    }
+
     /// The canonical spec string the cache key hashes: the normalized
     /// spec, serialized.
     pub fn canonical_json(self) -> String {
@@ -642,6 +692,57 @@ mod tests {
         assert_ne!(base.cache_key(), deeper.cache_key());
         let other_seed = JobSpec::Scenario(ScenarioJob { seed: 4, ..job });
         assert_ne!(base.cache_key(), other_seed.cache_key());
+    }
+
+    #[test]
+    fn admission_caps_are_inclusive() {
+        let JobSpec::Fuzz(fuzz) = keyless_job() else { unreachable!() };
+        let at_caps = FuzzJob {
+            iterations: MAX_ITERATIONS,
+            shards: MAX_SHARDS,
+            scenario: ScenarioSpec::Construction(ConstructionScenario {
+                controls: ControlsPreset::All,
+                horizon_ms: MAX_HORIZON_MS,
+                attack_at_ms: MAX_HORIZON_MS,
+            }),
+            ..fuzz
+        };
+        assert_eq!(JobSpec::Fuzz(at_caps).admission_error(), None);
+        let over = |job: FuzzJob| JobSpec::Fuzz(job).admission_error().expect("refused");
+        assert_eq!(
+            over(FuzzJob { iterations: MAX_ITERATIONS + 1, ..at_caps }),
+            format!(
+                "invalid job request: iterations {} exceeds {MAX_ITERATIONS}",
+                MAX_ITERATIONS + 1
+            )
+        );
+        let long = ScenarioSpec::Keyless(KeylessScenario {
+            horizon_ms: MAX_HORIZON_MS + 1,
+            ..KeylessScenario::default()
+        });
+        assert!(over(FuzzJob { scenario: long, ..at_caps }).contains("horizon_ms"));
+        let late = ScenarioSpec::Keyless(KeylessScenario {
+            attack_at_ms: u64::MAX,
+            ..KeylessScenario::default()
+        });
+        assert!(over(FuzzJob { scenario: late, ..at_caps }).contains("attack_at_ms"));
+
+        let search = ScenarioJob {
+            space: ScenarioSpace::keyless_default(),
+            budget: MAX_BUDGET,
+            seed: 1,
+            shards: MAX_SHARDS,
+            eval_iterations: MAX_ITERATIONS,
+        };
+        assert_eq!(JobSpec::Scenario(search).admission_error(), None);
+        let refused = |job: ScenarioJob| JobSpec::Scenario(job).admission_error().expect("refused");
+        assert!(refused(ScenarioJob { budget: MAX_BUDGET + 1, ..search }).contains("budget"));
+        assert!(refused(ScenarioJob { eval_iterations: MAX_ITERATIONS + 1, ..search })
+            .contains("eval_iterations"));
+        let mut inverted = ScenarioSpace::keyless_default();
+        inverted.ftti_ms = saseval_fuzz::scenario::DimRange::new(500, 100);
+        assert!(refused(ScenarioJob { space: inverted, ..search })
+            .starts_with("invalid job request: scenario space: dimension `ftti_ms`"));
     }
 
     #[test]

@@ -42,7 +42,7 @@ use serde_json::JsonValue;
 
 use crate::cache::ResultCache;
 use crate::flight::{Detached, InflightTable, Joined, KeyMemo, Waiter};
-use crate::job::{JobSpec, MAX_SHARDS};
+use crate::job::JobSpec;
 use crate::protocol::{
     accepted_frame, cancelled_frame, done_head, error_frame, frame, map_field, progress_frame,
     str_field,
@@ -543,16 +543,11 @@ impl Mux {
                         return;
                     }
                 };
-                // Shards are allocated before thread capping; an unbounded
-                // count would exhaust memory.
-                let shards = match spec {
-                    JobSpec::Fuzz(job) => job.shards,
-                    JobSpec::Scenario(job) => job.shards,
-                    JobSpec::Campaign(_) | JobSpec::Lint(_) => 0,
-                };
-                if shards > MAX_SHARDS {
-                    let message =
-                        format!("invalid job request: shards {shards} exceeds {MAX_SHARDS}");
+                // Admission control before keying or memoizing: shards
+                // are allocated before thread capping, and input counts,
+                // budgets and horizons size the work a worker is pinned
+                // to; an unbounded value would exhaust memory or time.
+                if let Some(message) = spec.admission_error() {
                     self.queue_frame(conn_id, error_frame(Some(&id), &message));
                     return;
                 }
@@ -638,6 +633,20 @@ impl Mux {
                         stats.as_ref(),
                         frame.share(),
                     );
+                }
+                self.metrics.gauge("server.inflight", self.inflight.len() as f64);
+            }
+            PoolEvent::Failed { key, epoch, message } => {
+                self.metrics.counter("server.failed", 1);
+                let Some(waiters) = self.inflight.complete(key, epoch) else {
+                    return; // every waiter already detached
+                };
+                let message = format!("job failed: {message}");
+                for waiter in waiters {
+                    if let Some(conn) = self.conns.get_mut(&waiter.conn) {
+                        conn.inflight_ids.remove(&waiter.id);
+                    }
+                    self.queue_frame(waiter.conn, error_frame(Some(&waiter.id), &message));
                 }
                 self.metrics.gauge("server.inflight", self.inflight.len() as f64);
             }
@@ -733,6 +742,7 @@ impl Mux {
             ("coalesced", JsonValue::U64(m.value("server.coalesced"))),
             ("memo_hits", JsonValue::U64(m.value("server.memo_hits"))),
             ("cancelled", JsonValue::U64(m.value("server.cancelled"))),
+            ("failed", JsonValue::U64(m.value("server.failed"))),
             ("backpressure_stalls", JsonValue::U64(m.value("server.backpressure_stalls"))),
             ("inflight", JsonValue::U64(self.inflight.len() as u64)),
             ("resident_prefixes", JsonValue::U64(self.snapshots.len() as u64)),

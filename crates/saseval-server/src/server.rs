@@ -45,7 +45,10 @@
 //! completed id is an `error` frame.
 //!
 //! Malformed lines get `{"event":"error","message":...}` (plus `"id"`
-//! when one could be parsed) and the connection stays usable.
+//! when one could be parsed) and the connection stays usable. So do
+//! jobs refused by admission control ([`crate::job::JobSpec::admission_error`])
+//! and jobs whose execution panicked; a panic leaves the worker running
+//! and nothing cached.
 //!
 //! **Shutdown.** The clean path is in-band: `{"control":"shutdown"}`
 //! (or [`Server::shutdown`] from the embedding process) stops accepting
@@ -476,6 +479,112 @@ mod tests {
         }
         let outcome = client.submit("ok", tiny_job()).unwrap();
         assert_eq!(outcome.cache, "miss");
+        server.shutdown();
+        server.join();
+    }
+
+    #[test]
+    fn oversized_counts_times_and_invalid_spaces_get_an_error_frame() {
+        let server = start_test_server();
+        let mut client = Client::connect(&server.addr()).unwrap();
+        for (id, job, field) in [
+            (
+                "i",
+                r#"{"Fuzz":{"scenario":{"Keyless":{}},"iterations":1000000000000,"seed":1}}"#,
+                "iterations",
+            ),
+            (
+                "h",
+                r#"{"Fuzz":{"scenario":{"Construction":{"horizon_ms":1000000000000}},"iterations":8,"seed":1}}"#,
+                "horizon_ms",
+            ),
+            (
+                "a",
+                r#"{"Fuzz":{"scenario":{"Keyless":{"attack_at_ms":18446744073709551615}},"iterations":8,"seed":1}}"#,
+                "attack_at_ms",
+            ),
+            ("b", r#"{"Scenario":{"budget":1000000000,"seed":1}}"#, "budget"),
+            (
+                "e",
+                r#"{"Scenario":{"budget":4,"seed":1,"eval_iterations":1000000000}}"#,
+                "eval_iterations",
+            ),
+        ] {
+            client.send_line(&format!(r#"{{"id":"{id}","job":{job}}}"#)).unwrap();
+            let error = client.read_frame().unwrap().unwrap();
+            assert_eq!(str_field(&error, "event"), Some("error"));
+            assert_eq!(str_field(&error, "id"), Some(id));
+            let message = str_field(&error, "message").unwrap_or_default();
+            assert!(message.starts_with(&format!("invalid job request: {field} ")), "{message}");
+        }
+        // A space whose FTTI range is inverted fails validation.
+        let mut space = saseval_fuzz::scenario::ScenarioSpace::keyless_default();
+        space.ftti_ms = saseval_fuzz::scenario::DimRange::new(900, 300);
+        let space = serde_json::to_string(&space).unwrap();
+        client
+            .send_line(&format!(
+                r#"{{"id":"v","job":{{"Scenario":{{"space":{space},"budget":4,"seed":1}}}}}}"#
+            ))
+            .unwrap();
+        let error = client.read_frame().unwrap().unwrap();
+        assert_eq!(str_field(&error, "event"), Some("error"));
+        let message = str_field(&error, "message").unwrap_or_default();
+        assert!(message.starts_with("invalid job request: scenario space:"), "{message}");
+        // Nothing was admitted; the connection still completes a valid job.
+        let outcome = client.submit("ok", tiny_job()).unwrap();
+        assert_eq!(outcome.cache, "miss");
+        let stats = client.stats().unwrap();
+        assert_eq!(map_field(&stats, "jobs"), Some(&JsonValue::U64(1)));
+        server.shutdown();
+        server.join();
+    }
+
+    #[test]
+    fn a_panicking_job_errors_every_waiter_and_the_worker_survives() {
+        // One worker: had the panic killed it, nothing below would
+        // complete.
+        let server =
+            Server::start(ServerConfig { workers: 1, prewarm: false, ..Default::default() })
+                .expect("bind");
+        const SEED: u64 = 0xFA_0175;
+        let job = format!(
+            r#"{{"Fuzz":{{"scenario":{{"Keyless":{{"controls":"None","horizon_ms":300,"attack_at_ms":100}}}},"iterations":24,"seed":{SEED}}}}}"#
+        );
+        crate::worker::fault::arm(SEED);
+        let mut first = Client::connect(&server.addr()).unwrap();
+        let mut second = Client::connect(&server.addr()).unwrap();
+        // The faulty job holds until released, so the second submission
+        // coalesces onto it: two waiters on one failing execution.
+        for (client, id) in [(&mut first, "a"), (&mut second, "b")] {
+            client.send_line(&format!(r#"{{"id":"{id}","job":{job}}}"#)).unwrap();
+            let accepted = client.read_frame().unwrap().unwrap();
+            assert_eq!(str_field(&accepted, "event"), Some("accepted"));
+        }
+        crate::worker::fault::release();
+        for (client, id) in [(&mut first, "a"), (&mut second, "b")] {
+            let error = loop {
+                let frame = client.read_frame().unwrap().unwrap();
+                if str_field(&frame, "event") != Some("progress") {
+                    break frame;
+                }
+            };
+            assert_eq!(str_field(&error, "event"), Some("error"));
+            assert_eq!(str_field(&error, "id"), Some(id));
+            let message = str_field(&error, "message").unwrap_or_default();
+            assert_eq!(message, "job failed: injected worker fault");
+        }
+        // The flight entry is gone and nothing was cached: the identical
+        // job runs afresh (the fault was one-shot) ...
+        let again = first.submit("a2", &job).unwrap();
+        assert_eq!(again.cache, "miss");
+        // ... and so does an unrelated one, on the same worker.
+        let other = second.submit("c", tiny_job()).unwrap();
+        assert_eq!(other.cache, "miss");
+        let stats = first.stats().unwrap();
+        assert_eq!(map_field(&stats, "failed"), Some(&JsonValue::U64(1)));
+        assert_eq!(map_field(&stats, "coalesced"), Some(&JsonValue::U64(1)));
+        assert_eq!(map_field(&stats, "executed"), Some(&JsonValue::U64(2)));
+        assert_eq!(map_field(&stats, "inflight"), Some(&JsonValue::U64(0)));
         server.shutdown();
         server.join();
     }

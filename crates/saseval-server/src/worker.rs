@@ -26,8 +26,15 @@
 //! final check and the insert can still populate the cache; this is
 //! harmless because payloads are deterministic — the cached bytes are
 //! exactly what a fresh execution would produce.
+//!
+//! A job that panics is caught at the worker ([`PoolEvent::Failed`]):
+//! the worker keeps draining the queue, nothing is cached, and the
+//! event loop answers every waiter with an `error` frame and removes
+//! the flight entry, so a later identical submission runs afresh.
 
+use std::any::Any;
 use std::collections::HashMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -209,6 +216,8 @@ fn run_lint_job(job: LintJob, obs: &Obs) -> JobPayload {
 /// by one on the job's worker thread; lint jobs run the trace-graph
 /// static analysis. Metrics land on `obs`.
 pub fn run_job(spec: JobSpec, snapshots: &SnapshotStore, obs: &Obs) -> JobPayload {
+    #[cfg(test)]
+    fault::trip(spec);
     match spec.normalized() {
         JobSpec::Fuzz(job) => run_fuzz_job(job, snapshots, obs),
         JobSpec::Campaign(job) => run_campaign_job(job, obs),
@@ -282,6 +291,16 @@ pub enum PoolEvent {
         key: u64,
         /// Single-flight epoch of the aborted instance.
         epoch: u64,
+    },
+    /// The job panicked. The worker caught the panic and lives on; the
+    /// cache is untouched, and every waiter gets an `error` frame.
+    Failed {
+        /// Cache key of the failed job.
+        key: u64,
+        /// Single-flight epoch of the failed instance.
+        epoch: u64,
+        /// The panic message.
+        message: String,
     },
 }
 
@@ -434,7 +453,19 @@ fn worker_loop(queue: &Mutex<Receiver<QueuedJob>>, cache: &ResultCache, snapshot
         let memory = Arc::new(MemoryRecorder::default());
         let obs = Obs::recording(Arc::new(TeeRecorder::new(vec![memory.clone(), forwarder])));
         let started = Instant::now();
-        let payload = run_job(job.spec, snapshots, &obs).to_bytes();
+        // A panic must not take the worker down with it: its waiters,
+        // and every later identical submission coalescing onto its
+        // flight entry, would never hear back.
+        let run = || run_job(job.spec, snapshots, &obs).to_bytes();
+        let payload = match panic::catch_unwind(AssertUnwindSafe(run)) {
+            Ok(payload) => payload,
+            Err(panic) => {
+                let message = panic_message(panic.as_ref());
+                let _ =
+                    job.events.send(PoolEvent::Failed { key: job.key, epoch: job.epoch, message });
+                continue;
+            }
+        };
         let elapsed_seconds = started.elapsed().as_secs_f64();
         // Every waiter detached mid-run: discard the result without
         // touching the cache. Best-effort — a cancel landing between
@@ -462,6 +493,52 @@ fn worker_loop(queue: &Mutex<Receiver<QueuedJob>>, cache: &ResultCache, snapshot
             tier: None,
             stats: Some(stats),
         });
+    }
+}
+
+fn panic_message(panic: &(dyn Any + Send)) -> String {
+    match (panic.downcast_ref::<&str>(), panic.downcast_ref::<String>()) {
+        (Some(message), _) => (*message).to_owned(),
+        (None, Some(message)) => message.clone(),
+        (None, None) => "job panicked".to_owned(),
+    }
+}
+
+/// Fault injection for the server's tests: the next fuzz job with the
+/// armed seed panics, once. It holds until [`fault::release`] so that
+/// other submissions can coalesce onto it first.
+#[cfg(test)]
+pub(crate) mod fault {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::time::Duration;
+
+    use crate::job::JobSpec;
+
+    static ARMED_SEED: AtomicU64 = AtomicU64::new(0);
+    static RELEASED: AtomicBool = AtomicBool::new(false);
+
+    /// Arms a one-shot panic for the next fuzz job seeded `seed` (non-zero).
+    pub(crate) fn arm(seed: u64) {
+        RELEASED.store(false, Ordering::SeqCst);
+        ARMED_SEED.store(seed, Ordering::SeqCst);
+    }
+
+    /// Lets the held job panic.
+    pub(crate) fn release() {
+        RELEASED.store(true, Ordering::SeqCst);
+    }
+
+    pub(super) fn trip(spec: JobSpec) {
+        let JobSpec::Fuzz(job) = spec else { return };
+        if job.seed == 0
+            || ARMED_SEED.compare_exchange(job.seed, 0, Ordering::SeqCst, Ordering::SeqCst).is_err()
+        {
+            return;
+        }
+        while !RELEASED.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        panic!("injected worker fault");
     }
 }
 
@@ -557,6 +634,7 @@ mod tests {
                     return (frame, tier, stats.is_some())
                 }
                 PoolEvent::Aborted { .. } => panic!("job was not cancelled"),
+                PoolEvent::Failed { message, .. } => panic!("job failed: {message}"),
             }
         }
     }

@@ -282,6 +282,20 @@ impl BleLink {
         }
     }
 
+    /// The earliest instant at which [`BleLink::poll`] can change the
+    /// link: the first in-flight arrival (delivered, or lost to a jam)
+    /// or, while connected, the first instant at which
+    /// `now − last_activity > supervision_timeout` holds and supervision
+    /// drops the connection. `None` when neither is pending. A poll at
+    /// any earlier instant finds nothing to do.
+    pub fn next_due(&self) -> Option<SimTime> {
+        let arrival = self.in_flight.iter().map(|(at, _)| *at).min();
+        let supervision = self
+            .is_connected()
+            .then(|| self.last_activity + self.config.supervision_timeout + Ftti::from_micros(1));
+        arrival.into_iter().chain(supervision).min()
+    }
+
     /// Jams the link until `until`.
     pub fn jam(&mut self, until: SimTime) {
         self.jam_until = Some(match self.jam_until {
@@ -371,6 +385,40 @@ mod tests {
         link.poll(SimTime::from_millis(200));
         assert!(!link.is_connected());
         assert_eq!(link.stats().supervision_drops, 1);
+    }
+
+    #[test]
+    fn next_due_is_the_first_arrival_or_the_strict_supervision_boundary() {
+        let mut link = BleLink::new(lossless(), 1);
+        assert_eq!(link.next_due(), None, "idle link, nothing in flight");
+        link.start_advertising(SimTime::ZERO);
+        assert_eq!(link.next_due(), None, "advertising is not supervised");
+        link.connect("phone", SimTime::ZERO).unwrap();
+        // Supervision fires once `now - last_activity > timeout`
+        // (strictly): 100 ms after the connect is still alive.
+        let boundary = SimTime::from_micros(100_001);
+        assert_eq!(link.next_due(), Some(boundary));
+        link.send("phone", Bytes::from_static(b"x"), SimTime::from_millis(10)).unwrap();
+        assert_eq!(link.next_due(), Some(SimTime::from_millis(11)), "arrival comes first");
+        link.poll(SimTime::from_millis(11));
+        assert_eq!(link.next_due(), Some(SimTime::from_micros(111_001)));
+        link.poll(SimTime::from_millis(111));
+        assert!(link.is_connected(), "exactly at the timeout the link holds");
+        link.poll(SimTime::from_micros(111_001));
+        assert!(!link.is_connected(), "one microsecond past it supervision drops");
+        assert_eq!(link.next_due(), None);
+    }
+
+    #[test]
+    fn next_due_counts_frames_a_jam_will_lose() {
+        let mut link = connected();
+        link.send("phone", Bytes::from_static(b"x"), SimTime::ZERO).unwrap();
+        link.jam(SimTime::from_millis(50));
+        // The arrival at 1 ms is still due: the poll that loses it
+        // changes the link's statistics.
+        assert_eq!(link.next_due(), Some(SimTime::from_millis(1)));
+        assert!(link.poll(SimTime::from_millis(1)).is_empty());
+        assert_eq!(link.stats().lost, 1);
     }
 
     #[test]

@@ -292,6 +292,13 @@ impl CanBus {
         deliveries
     }
 
+    /// Whether no frame is queued. [`CanBus::advance`] on an idle bus is
+    /// a no-op at any instant; on a busy one it moves the arbitration
+    /// cursor even when nothing completes.
+    pub fn is_idle(&self) -> bool {
+        self.queues.values().all(VecDeque::is_empty)
+    }
+
     /// Records a transmission error attributed to `node` (e.g. injected by
     /// an attacker); the transmit error counter rises by 8, per CAN fault
     /// confinement.
@@ -477,6 +484,29 @@ mod tests {
         assert_eq!(snapshot.counter("net.can.arbitrated"), Some(1));
         assert_eq!(snapshot.counter("net.can.bus_off"), Some(1), "bus-off counted once");
         assert_eq!(snapshot.events[0].name, "net.can.bus_off");
+    }
+
+    #[test]
+    fn is_idle_tracks_queued_frames() {
+        let mut bus = CanBus::new(CanBusConfig { bitrate_bps: 500_000, tx_queue_depth: 1 });
+        assert!(bus.is_idle());
+        bus.submit(frame(1, "n"), SimTime::ZERO).unwrap();
+        assert!(!bus.is_idle());
+        // A frame still on the wire keeps the bus busy.
+        assert!(bus.advance(SimTime::from_micros(100)).is_empty());
+        assert!(!bus.is_idle());
+        assert_eq!(bus.advance(SimTime::from_millis(1)).len(), 1);
+        assert!(bus.is_idle());
+        // A frame dropped at a full queue leaves nothing behind.
+        let mut full = CanBus::new(CanBusConfig { bitrate_bps: 500_000, tx_queue_depth: 0 });
+        full.submit(frame(1, "n"), SimTime::ZERO).unwrap_err();
+        assert!(full.is_idle());
+        // Bus-off drops the node's pending frames.
+        bus.submit(frame(1, "n"), SimTime::ZERO).unwrap();
+        for _ in 0..32 {
+            bus.report_error("n");
+        }
+        assert!(bus.is_idle());
     }
 
     #[test]

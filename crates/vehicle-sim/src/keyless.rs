@@ -550,6 +550,11 @@ impl KeylessWorld {
         self.now >= SimTime::ZERO + self.config.horizon
     }
 
+    /// Ticks performed so far, skipped idle ticks included.
+    pub fn ticks(&self) -> u64 {
+        self.ticks
+    }
+
     /// Performs one tick under the given attacker. Returns whether a tick
     /// was performed (`false` once [`KeylessWorld::is_done`]).
     pub fn step(&mut self, attacker: &mut dyn AttackerHook<KeylessWorld>) -> bool {
@@ -573,9 +578,44 @@ impl KeylessWorld {
         true
     }
 
-    /// Steps until virtual time reaches `until` (or the run ends).
+    /// Steps until virtual time reaches `until` (or the run ends): `now`
+    /// stops at the first tick at or after `until`.
+    ///
+    /// Under a passive attacker ([`AttackerHook::is_passive`]) ticks at
+    /// which nothing is due are skipped rather than stepped; the result
+    /// is bit-identical to calling [`KeylessWorld::step`] at every tick,
+    /// skipped ticks included in the tick count (DESIGN.md §9).
     pub fn run_until(&mut self, until: SimTime, attacker: &mut dyn AttackerHook<KeylessWorld>) {
-        while self.now < until && self.step(attacker) {}
+        let passive = attacker.is_passive();
+        loop {
+            if passive {
+                self.skip_idle_ticks(until);
+            }
+            if self.now >= until || !self.step(attacker) {
+                return;
+            }
+        }
+    }
+
+    /// Advances `now` in whole ticks to the first tick at or after the
+    /// earliest of: the owner script's next action, the link's next
+    /// arrival or supervision instant, `until` and the horizon. Every
+    /// tick skipped is idle — no owner action due, no frame arriving,
+    /// no supervision drop, no CAN frame queued — so with a passive
+    /// attacker stepping it would only add one tick to `now`. A busy
+    /// CAN bus or a zero tick skips nothing.
+    fn skip_idle_ticks(&mut self, until: SimTime) {
+        let tick = self.config.tick.as_micros();
+        if tick == 0 || !self.can.is_idle() {
+            return;
+        }
+        let due = [self.owner_script.next_time(), self.link.next_due()]
+            .into_iter()
+            .flatten()
+            .fold(until.min(SimTime::ZERO + self.config.horizon), SimTime::min);
+        let skipped = due.saturating_since(self.now).as_micros().div_ceil(tick);
+        self.now += Ftti::from_micros(skipped.saturating_mul(tick));
+        self.ticks += skipped;
     }
 
     /// Deep-copies the world; the fork replays bit-identically to a
@@ -615,12 +655,10 @@ impl KeylessWorld {
     /// Runs the world to the horizon under the given attacker.
     pub fn run(mut self, attacker: &mut dyn AttackerHook<KeylessWorld>) -> KeylessOutcome {
         let span = self.obs.span("world.keyless.run_seconds");
-        while self.step(attacker) {}
-        self.obs.counter("world.keyless.ticks", self.ticks);
-        self.obs.counter("sim.events.scheduled", self.owner_script.scheduled_total());
-        self.obs.counter("sim.events.popped", self.owner_script.popped_total());
+        self.run_until(SimTime::ZERO + self.config.horizon, attacker);
+        let outcome = self.into_outcome();
         span.finish();
-        self.finish()
+        outcome
     }
 
     /// Runs the world without an attacker.
@@ -635,6 +673,79 @@ mod tests {
 
     fn world() -> KeylessWorld {
         KeylessWorld::new(KeylessConfig::default())
+    }
+
+    /// A no-op attacker that is not passive: every tick is stepped.
+    struct Stepwise;
+    impl AttackerHook<KeylessWorld> for Stepwise {
+        fn on_tick(&mut self, _world: &mut KeylessWorld, _now: SimTime) {}
+    }
+
+    #[test]
+    fn run_until_stops_at_the_first_tick_at_or_after_until() {
+        let mut w = world();
+        w.run_until(SimTime::from_millis(100), &mut ());
+        assert_eq!((w.now(), w.ticks()), (SimTime::from_millis(100), 10));
+        // Off-grid target: the first tick past it, as stepping would.
+        w.run_until(SimTime::from_micros(1_234_500), &mut ());
+        assert_eq!((w.now(), w.ticks()), (SimTime::from_millis(1_240), 124));
+        let mut stepped = world();
+        while stepped.now() < SimTime::from_micros(1_234_500) && stepped.step(&mut Stepwise) {}
+        assert_eq!((stepped.now(), stepped.ticks()), (w.now(), w.ticks()));
+        // A target in the past, and one past the horizon.
+        w.run_until(SimTime::from_millis(5), &mut ());
+        assert_eq!(w.now(), SimTime::from_millis(1_240));
+        w.run_until(SimTime::MAX, &mut ());
+        assert_eq!((w.now(), w.ticks()), (SimTime::from_secs(30), 3_000));
+        assert!(w.is_done());
+    }
+
+    #[test]
+    fn warm_snapshots_freeze_at_attack_at() {
+        let mut config = KeylessConfig { horizon: Ftti::from_secs(2), ..Default::default() };
+        for attack_at in [SimTime::from_millis(100), SimTime::from_millis(2_000)] {
+            let snapshot = KeylessWorld::warm_snapshot(config.clone(), attack_at);
+            assert_eq!(snapshot.get().now(), attack_at);
+            assert_eq!(snapshot.get().ticks(), attack_at.as_millis() / 10);
+        }
+        // An owner action inside the prefix is still performed.
+        config.horizon = Ftti::from_secs(5);
+        let mut w = KeylessWorld::new(config);
+        w.schedule_owner_open(SimTime::from_millis(1_000));
+        w.run_until(SimTime::from_millis(3_000), &mut ());
+        assert!(w.lock_open());
+        assert_eq!(w.now(), SimTime::from_millis(3_000));
+    }
+
+    #[test]
+    fn a_zero_tick_never_elides() {
+        let mut w = KeylessWorld::new(KeylessConfig { tick: Ftti::ZERO, ..Default::default() });
+        w.skip_idle_ticks(SimTime::from_secs(1));
+        assert_eq!((w.now(), w.ticks()), (SimTime::ZERO, 0));
+        // A zero horizon ends the run before any tick, elided or not.
+        let config = KeylessConfig { tick: Ftti::ZERO, horizon: Ftti::ZERO, ..Default::default() };
+        let outcome = KeylessWorld::new(config).run_nominal();
+        assert_eq!(outcome.transitions, 0);
+    }
+
+    #[test]
+    fn a_queued_can_frame_blocks_elision() {
+        // 10 kbit/s: the stub frame stays on the wire for ~5.5 ms, so
+        // the tick it was queued in cannot complete it.
+        let mut w = KeylessWorld::new(KeylessConfig {
+            controls: ControlSelection::none(),
+            can: CanBusConfig { bitrate_bps: 10_000, tx_queue_depth: 8 },
+            ..Default::default()
+        });
+        assert!(w.inject_can_from_stub(CMD_OPEN));
+        w.step(&mut ());
+        assert!(!w.can.is_idle());
+        w.skip_idle_ticks(SimTime::from_secs(1));
+        assert_eq!(w.now(), SimTime::from_millis(10), "busy bus: nothing skipped");
+        w.step(&mut ());
+        assert!(w.lock_open() && w.can.is_idle());
+        w.skip_idle_ticks(SimTime::from_secs(1));
+        assert_eq!((w.now(), w.ticks()), (SimTime::from_secs(1), 100));
     }
 
     #[test]

@@ -51,10 +51,23 @@ use saseval_types::SimTime;
 pub trait AttackerHook<W> {
     /// Called at every tick with the world state and current time.
     fn on_tick(&mut self, world: &mut W, now: SimTime);
+
+    /// Whether [`AttackerHook::on_tick`] never touches the world. A
+    /// world may then jump over ticks at which nothing else is due
+    /// instead of calling the hook on each of them (the keyless world
+    /// does; see DESIGN.md §9). Defaults to `false`, so an attacker is
+    /// always called at every tick.
+    fn is_passive(&self) -> bool {
+        false
+    }
 }
 
 impl<W> AttackerHook<W> for () {
     fn on_tick(&mut self, _world: &mut W, _now: SimTime) {}
+
+    fn is_passive(&self) -> bool {
+        true
+    }
 }
 
 /// A frozen world state at a point in virtual time, shared copy-on-write.

@@ -69,6 +69,30 @@ done
 cmp "$SERVER_OUT/first.json" "$SERVER_OUT/second.json"
 echo "    cache hit payload is byte-identical"
 
+echo "==> SimOracle fuzz payload pins: fixed-seed jobs reproduce their pinned payload hashes"
+# SHA-256 of each job's payload as served by the keyless world when it
+# still stepped every tick, before idle ticks were skipped: hardened
+# keyless, unhardened keyless (reports crashes), unhardened keyless with
+# a 5 s horizon (its runs cross the 2 s BLE supervision timeout), and a
+# construction job.
+pin_payload() {
+  local job="$1" want="$2" got
+  got="$("$SERVER_BIN" submit --addr "$SERVER_ADDR" --job "$job" | sha256sum | cut -c1-64)"
+  if [ "$got" != "$want" ]; then
+    echo "payload pin mismatch: $job -> $got, want $want" >&2
+    exit 1
+  fi
+}
+pin_payload '{"Fuzz":{"scenario":{"Keyless":{"controls":"All"}},"iterations":4096,"seed":11}}' \
+  4beae368c8caa12458923286e84d8e2229c41cfe2bd5438069e45aa1872447cd
+pin_payload '{"Fuzz":{"scenario":{"Keyless":{"controls":"None"}},"iterations":4096,"seed":11}}' \
+  6d7e4e3ea33b2022e6660f8e84c582b01c5fc46765e34198da87e9496911e4b8
+pin_payload '{"Fuzz":{"scenario":{"Keyless":{"controls":"None","horizon_ms":5000,"attack_at_ms":1000}},"iterations":2048,"seed":12}}' \
+  0530b59b961c0cc067858edbbd26c5b0deebb6a16b5c2672df2fccd59fcf674f
+pin_payload '{"Fuzz":{"scenario":{"Construction":{}},"iterations":512,"seed":11}}' \
+  c25d0a89c8b6bbe835d5cab6fd88b23cef8b9497484d8a4a76d22c7effaf0073
+echo "    four fuzz payloads match their pinned hashes"
+
 echo "==> campaign server gate: 16 concurrent identical submits coalesce onto one execution"
 # A long fresh job (~1.5 s) so all 16 CLI submits arrive while it is
 # still in flight; 15 of them must attach to the single execution, and
